@@ -614,14 +614,14 @@ def run_salted_resample_grid(
     forward-fills seeded with the carry (:func:`_resample_partition_frame`);
     cold groups run the ordinary whole-group kernel. Every task bounded by
     chunk span (+ its share of the slot grid)."""
-    from recipys_ray.kernels.grouped import adaptive_stamp_rows
+    from recipys_ray.kernels.grouped import exchange, plan_exchange
     from recipys_ray.kernels.salted import (
         SaltedStamp,
         _hot_mask,
         find_hot_groups,
     )
 
-    stamp_batch_rows = adaptive_stamp_rows(ds, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
     hot = find_hot_groups(ds, group_cols, salt.threshold)
     if not hot:
         from recipys_ray.kernels.grouped import run_grouped_chain
@@ -635,7 +635,7 @@ def run_salted_resample_grid(
         group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
     )
     stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=stamp_batch_rows
+        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
     )
     seq = step._seq_col
     last_cols = [
@@ -678,8 +678,8 @@ def run_salted_resample_grid(
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return stamped.groupby(PART).map_groups(
-        run_partition, batch_format="pyarrow"
+    return exchange(
+        stamped, PART, run_partition, num_partitions, plan.blocks
     )
 
 
@@ -707,7 +707,7 @@ def run_salted_resample_chain(
     ownership (≈ chunk_span / resolution, plus any event-less gap the chunk
     precedes), the fold stays O(#hot chunks), and raw payload moves exactly
     once."""
-    from recipys_ray.kernels.grouped import adaptive_stamp_rows
+    from recipys_ray.kernels.grouped import exchange, plan_exchange
     from recipys_ray.kernels.salted import (
         SaltedStamp,
         _hot_mask,
@@ -715,7 +715,7 @@ def run_salted_resample_chain(
     )
 
     head_step, tail = steps[0], list(steps[1:])
-    stamp_batch_rows = adaptive_stamp_rows(ds, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
     hot = find_hot_groups(ds, group_cols, salt.threshold)
     if not hot:
         from recipys_ray.kernels.grouped import run_grouped_chain
@@ -729,7 +729,7 @@ def run_salted_resample_chain(
         group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
     )
     stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=stamp_batch_rows
+        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
     )
 
     seq = head_step._seq_col
@@ -800,8 +800,8 @@ def run_salted_resample_chain(
     def run_partition(tbl: pa.Table) -> pa.Table:
         return runner(tbl)
 
-    out = stamped.groupby(PART).map_groups(
-        run_partition, batch_format="pyarrow"
+    out = exchange(
+        stamped, PART, run_partition, num_partitions, plan.blocks
     )
 
     def drop_salt(tbl: pa.Table) -> pa.Table:
@@ -832,9 +832,9 @@ def run_global_chunked(
     """
     import ray.data.aggregate as agg_mod
 
-    from recipys_ray.kernels.grouped import adaptive_stamp_rows
+    from recipys_ray.kernels.grouped import exchange, plan_exchange
 
-    stamp_batch_rows = adaptive_stamp_rows(ds, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
     s0 = sort_cols[0]
     mm = ds.aggregate(agg_mod.Min(s0), agg_mod.Max(s0))
     lo, hi = mm[f"min({s0})"], mm[f"max({s0})"]
@@ -862,7 +862,7 @@ def run_global_chunked(
         return tbl.append_column(PART, pa.array(part))
 
     stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=stamp_batch_rows
+        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
     )
 
     group_cols = [GLOBAL_GROUP]
@@ -919,8 +919,8 @@ def run_global_chunked(
     def run_partition(tbl: pa.Table) -> pa.Table:
         return runner(tbl)
 
-    out = stamped.groupby(PART).map_groups(
-        run_partition, batch_format="pyarrow"
+    out = exchange(
+        stamped, PART, run_partition, num_partitions, plan.blocks
     )
 
     def drop_helpers(tbl: pa.Table) -> pa.Table:
@@ -991,9 +991,9 @@ def run_salted_chunked(
         find_hot_groups,
     )
 
-    from recipys_ray.kernels.grouped import adaptive_stamp_rows
+    from recipys_ray.kernels.grouped import exchange, plan_exchange
 
-    stamp_batch_rows = adaptive_stamp_rows(ds, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
     parity_steps = [
         s for s in steps if getattr(s, "_parity_chunked", False)
     ]
@@ -1016,7 +1016,7 @@ def run_salted_chunked(
         group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
     )
     stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=stamp_batch_rows
+        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
     )
 
     stages = [GroupedStage(s) for s in steps]
@@ -1081,8 +1081,8 @@ def run_salted_chunked(
     def run_partition(tbl: pa.Table) -> pa.Table:
         return runner(tbl)
 
-    out = stamped.groupby(PART).map_groups(
-        run_partition, batch_format="pyarrow"
+    out = exchange(
+        stamped, PART, run_partition, num_partitions, plan.blocks
     )
 
     def drop_salt(tbl: pa.Table) -> pa.Table:

@@ -7,13 +7,26 @@ lag/lead, sessionization, as-of resampling — reference step.py:138-139,
 
 1. ``map_batches`` stamps ``__part__ = hash(group_key) % P`` (vectorized,
    deterministic across processes via pandas' stable hash). The stamp stage
-   doubles as the block coalescer: ``batch_size=262144`` merges the reader's
-   many small blocks into few large ones inside the same data pass — Ray's
-   sort-shuffle pays a fixed cost per source block (measured 3× slowdown
-   with ~200 tiny blocks vs ~32 large ones), and a separate ``repartition``
-   pass would burn memory bandwidth moving the data an extra time.
-2. ``groupby("__part__").map_groups`` — Ray Data's shuffle co-locates each
-   partition; every conversation lands entirely in exactly one partition.
+   doubles as the block coalescer: Ray's sort exchange pays a fixed cost
+   per source block (measured 3× slowdown with ~200 tiny blocks vs ~32
+   large ones), and a separate ``repartition`` pass would move the data an
+   extra time. Sizing rule (:func:`stamp_block_rows`): at least 16 stamped
+   blocks, and never more than P. Ray's sort makes one map task per
+   stamped block, and every block beyond P used to become a reducer with
+   no rows that still cost a reduce task, a partition-kernel task, a write
+   task and a "different schema" warning. Measured with
+   ``perfbench/run.py --workload flagship_bake`` (306k rows) on a 1-vCPU,
+   15 GB VM with Ray 2.49.2, where P = 2: 16 stamped blocks became 2, the
+   grouped chain's tasks 34 → 6, ``rows_per_s`` 84k/78k/92k →
+   146k/153k/160k (seeds 1–3), ``cpu_s_per_mrow`` 15.5 → 8.0, peak RSS
+   +2–3%, output digest unchanged. With P ≥ 64 (32 CPUs) and n ≤ 4.2M rows
+   the rule still gives 16 blocks.
+2. :func:`exchange` — a range sort on ``__part__`` whose boundaries are
+   fixed from the planned block count R ≤ P (reducer j holds partition ids
+   [jP/R, (j+1)P/R)), then the partition kernel once per partition. Every
+   conversation lands entirely in one partition. (Ray's
+   ``groupby().map_groups`` samples the boundaries instead; with two
+   blocks and P = 2 it gives one reducer every row more often than not.)
 3. Inside the partition: an ARROW-first runner — stable multi-key
    ``pyarrow.compute.sort_indices`` + ``take`` (wide payload columns like
    ``text`` are never boxed into Python objects), then ONLY the columns the
@@ -38,7 +51,7 @@ transcript-shaped group sizes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -58,6 +71,26 @@ def _cluster_cpus() -> int:
     except Exception:
         pass
     return 8
+
+
+def actor_pool_args(concurrency) -> dict:
+    """``map_batches`` arguments for an actor-pool stage of ``concurrency``
+    (``n`` actors or ``(min, max)``) that can always make progress.
+
+    Actors hold their CPU for the whole stage, and a pool takes no batch
+    until its minimum is up, so a minimum that fills the cluster starves
+    the upstream tasks (reads, maps) feeding it and waits forever. The
+    minimum is capped to leave one CPU free; on a one-CPU session the pool
+    is a single actor that reserves no CPU."""
+    if concurrency is None:
+        return {}
+    cpus = _cluster_cpus()
+    if cpus < 2:
+        return {"concurrency": 1, "num_cpus": 0}
+    if isinstance(concurrency, tuple):
+        lo, hi = concurrency
+        return {"concurrency": (min(lo, cpus - 1), hi)}
+    return {"concurrency": min(concurrency, cpus - 1)}
 
 
 def _lazy_size_bytes(ds):
@@ -85,32 +118,137 @@ def choose_partitions(
     return int(np.clip(-(-nbytes // target_partition_bytes), lo, max(lo, hi)))
 
 
-def adaptive_stamp_rows(ds, requested: int = 262_144) -> int:
-    """Stamp/coalesce batch size: the stamp stage's output block count sets
-    the sorted-scan kernel stage's parallelism, so small inputs need smaller
-    batches (2M rows at 262k-row batches = 8 blocks on 32 CPUs = a 4×
-    under-parallelized kernel stage). Measured sweet spots (BASELINE.md):
-    2M rows → 16 blocks, 8M → 30, 20M+ → the 262k default. Rule: at least
-    16 blocks when the row count is knowable from metadata (pure reads);
-    derived datasets keep the requested value."""
+def _meta_rows(ds) -> Optional[int]:
+    """Row count from plan metadata only (None when the plan can't say)."""
     try:
         n = ds._meta_count()
     except Exception:
         n = None
+    return int(n) if n else None
+
+
+def stamp_block_rows(
+    n: Optional[int], num_partitions: int, requested: int = 262_144
+) -> int:
+    """The sort-exchange sizing rule: stamp batch rows for ``n`` input rows
+    (None: unknown) hash-split into ``num_partitions`` partitions.
+
+    The stamp stage's output blocks are the exchange's map tasks and, in
+    Ray's sort exchange, its reducers. Two bounds set the batch:
+    - at least 16 blocks (batch ≤ ``requested``), the measured kernel-stage
+      sweet spot on a large box (BASELINE.md "Adaptive stamp");
+    - at most P blocks (batch ≥ ⌈n / P⌉): a reducer beyond the P-th holds
+      no partition, yet costs a reduce task, a partition-kernel task, a
+      write task and a schema-change warning.
+    The cap wins where the two disagree. Unknown ``n`` keeps ``requested``.
+    """
     if not n:
         return requested
-    return int(np.clip(n // 16, 16_384, requested))
+    return max(
+        int(np.clip(n // 16, 16_384, requested)), -(-n // max(num_partitions, 1))
+    )
+
+
+class ExchangePlan(NamedTuple):
+    partitions: int
+    stamp_rows: int
+    # stamped blocks = the exchange's reducers; None: unknown before the run
+    blocks: Optional[int]
+
+
+def plan_exchange(
+    ds, num_partitions: Optional[int] = None, requested: int = 262_144
+) -> ExchangePlan:
+    """Size a hash exchange over ``ds`` from its plan metadata only (pure
+    reads, from_pandas, materialized datasets); a derived dataset keeps the
+    default partition count and ``requested`` stamp rows."""
+    p = num_partitions or choose_partitions(ds)
+    n = _meta_rows(ds)
+    rows = stamp_block_rows(n, p, requested)
+    return ExchangePlan(p, rows, -(-n // rows) if n else None)
+
+
+def union_stamp_rows(
+    counts: Sequence[Optional[int]], num_partitions: int,
+    requested: int = 262_144,
+) -> list:
+    """Stamp batch rows per side of a unioned exchange (co-partitioned
+    joins), from each side's row count (None: unknown). The cap applies to
+    the union's total block count: every side gets one block and shares
+    the rest of the P-block budget by row count. A side with an unknown
+    row count keeps ``requested``."""
+    spare = max(num_partitions - len(counts), 0)
+    total = sum(n for n in counts if n)
+    return [
+        stamp_block_rows(n, 1 + spare * n // total, requested) if n
+        else requested
+        for n in counts
+    ]
+
+
+def stamp_union(sides: Sequence, num_partitions: int):
+    """Stamp each side of ``[(dataset, stamp_fn), ...]`` with its pyarrow
+    ``stamp_fn`` and union them: the input of a co-partitioned exchange.
+    Returns (union, planned blocks or None when a side's size is
+    unknown)."""
+    counts = [_meta_rows(d) for d, _ in sides]
+    rows = union_stamp_rows(counts, num_partitions)
+    stamped = [
+        d.map_batches(fn, batch_format="pyarrow", batch_size=r)
+        for (d, fn), r in zip(sides, rows)
+    ]
+    blocks = (
+        sum(-(-n // r) for n, r in zip(counts, rows))
+        if all(counts) else None
+    )
+    return stamped[0].union(*stamped[1:]), blocks
+
+
+def exchange(
+    stamped, part_col: str, fn, num_partitions: int,
+    reducers: Optional[int], batch_format: str = "pyarrow",
+):
+    """Co-locate every stamped partition id (``part_col`` in [0, P)), then
+    call ``fn`` once per non-empty partition, as ``groupby(part_col)
+    .map_groups(fn)`` would.
+
+    With ``reducers`` known (the planned stamp block count, ≤ P) the range
+    sort's boundaries are fixed: reducer j holds partition ids
+    [jP/R, (j+1)P/R), an equal share of the hash space. ``map_groups``
+    samples the boundaries from a few rows per block instead: with two
+    blocks and P = 2, more often than not one reducer receives every row
+    and the other none. Unknown (or a single) ``reducers`` keeps sampled
+    boundaries, one reducer per stamped block.
+    """
+    r = min(reducers or 0, num_partitions)
+    boundaries = [j * num_partitions // r for j in range(1, r)] if r else []
+    shuffled = stamped.sort(part_col, boundaries=boundaries or None)
+    pandas = batch_format == "pandas"
+
+    # a reducer's block is sorted by part_col: one slice per partition id
+    def per_partition(batch):
+        part = np.asarray(batch[part_col])
+        if not len(part):
+            return
+        cuts = np.flatnonzero(part[1:] != part[:-1]) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(part)]):
+            if pandas:
+                yield fn(batch.iloc[lo:hi].reset_index(drop=True))
+            else:
+                yield fn(batch.slice(lo, hi - lo))
+
+    per_partition.__name__ = fn.__name__  # Ray names the operator after it
+    return shuffled.map_batches(
+        per_partition, batch_size=None, batch_format=batch_format
+    )
 
 
 def cheap_count(ds) -> int:
     """Row count from plan metadata when knowable (pure reads, from_pandas,
     materialized datasets) — falls back to one full count pass otherwise.
     Saves the extra pass that ``ds.count()`` costs before sampling stages."""
-    try:
-        n = ds._meta_count()
-    except Exception:
-        n = None
-    return int(n) if n else ds.count()
+    n = _meta_rows(ds)
+    return n if n else ds.count()
 
 
 def _hash_mod(pdf: pd.DataFrame, group_cols: list[str], p: int) -> np.ndarray:
@@ -226,7 +364,6 @@ def run_grouped_chain(
     steps: Sequence,
     num_partitions: Optional[int] = None,
     stamp_batch_rows: int = 262_144,
-    shuffle: str = "sort",
 ):
     """Apply a fused chain of order-dependent steps (see module docstring).
 
@@ -234,21 +371,11 @@ def run_grouped_chain(
     plus the column-footprint protocol (frame_inputs/frame_outputs/
     frame_needs_all, changes_rowcount).
 
-    ``shuffle`` picks the exchange implementation:
-    - "sort" (default): Ray's ``groupby().map_groups`` — range-sorts blocks
-      by the partition id. The sort is redundant (the runner re-sorts each
-      partition by (group, sequence) anyway) but the operator overlaps with
-      the upstream read in the streaming executor.
-    - "raw": a textbook two-phase hash split/merge on raw Ray tasks (one
-      split task per map block with ``num_returns=P``, one merge+run task
-      per partition). No sort, blocks move exactly twice — but
-      ``to_arrow_refs`` is a barrier that forfeits read/shuffle overlap;
-      measured ≈5% slower single-node at 20M rows, kept as the explicit
-      fallback for environments where Ray's sort shuffle misbehaves.
-      Results are identical (cross-checked in tests).
+    The exchange (:func:`exchange`) range-sorts the stamped blocks on the
+    partition id; the stamp batch follows :func:`stamp_block_rows`, so it
+    has at most P reducers, each holding an equal share of the partitions.
     """
     p = num_partitions or choose_partitions(ds)
-    stamp_batch_rows = adaptive_stamp_rows(ds, stamp_batch_rows)
     if not group_cols:
         if (
             sort_cols
@@ -267,81 +394,18 @@ def run_grouped_chain(
         # non-mergeable global chain: single partition (a global sequential
         # scan of e.g. an expanding MEDIAN is inherently serial)
         p = 1
+    plan = plan_exchange(ds, p, stamp_batch_rows)
     stamped = ds.map_batches(
         _StampPartition(group_cols, p),
         batch_format="pyarrow",
-        batch_size=stamp_batch_rows,
+        batch_size=plan.stamp_rows,
     )
-    stages = [GroupedStage(s) for s in steps]
-    runner = _PartitionRunner(group_cols, sort_cols, stages)
+    runner = _PartitionRunner(
+        group_cols, sort_cols, [GroupedStage(s) for s in steps]
+    )
 
-    if shuffle == "raw":
-        return _raw_shuffle_run(stamped, runner, p)
-
-    # map_groups wants a plain function (it reads fn.__name__)
+    # a named function: Ray labels the operator with fn.__name__
     def run_partition(tbl: pa.Table) -> pa.Table:
         return runner(tbl)
 
-    return stamped.groupby(PART).map_groups(
-        run_partition, batch_format="pyarrow"
-    )
-
-
-def _raw_shuffle_run(stamped, runner: "_PartitionRunner", p: int):
-    """Two-phase hash shuffle on raw Ray tasks (Dataset in, Dataset out).
-
-    Phase 1 (split): one task per map block slices it into P sub-tables by
-    the pre-computed ``__part__`` column (arrow take — zero-copy views).
-    Phase 2 (merge+run): one task per partition concatenates its shards and
-    runs the fused partition kernel. Blocks move through the object store
-    exactly twice — no global sort, no sampling pass.
-    """
-    import ray
-    import ray.data as rd
-
-    @ray.remote
-    def split_block(tbl: pa.Table, p: int):
-        part = tbl.column(PART).to_numpy(zero_copy_only=False)
-        order = np.argsort(part, kind="stable")
-        sorted_tbl = tbl.take(pa.array(order))
-        sorted_part = part[order]
-        bounds = np.searchsorted(sorted_part, np.arange(p + 1))
-        return [
-            sorted_tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-            for i in range(p)
-        ]
-
-    @ray.remote
-    def merge_run(runner_obj, *shards):
-        shards = [s for s in shards if s is not None and len(s)]
-        if not shards:
-            return None
-        tbl = pa.concat_tables(shards, promote_options="default")
-        return runner_obj(tbl)
-
-    @ray.remote
-    def nonempty(t) -> bool:
-        return t is not None and len(t) > 0
-
-    block_refs = stamped.to_arrow_refs()
-    if not block_refs:
-        return stamped  # fully empty dataset — nothing to do
-    runner_ref = ray.put(runner)
-    if p == 1:
-        out_refs = [merge_run.remote(runner_ref, *block_refs)]
-    else:
-        split_opts = split_block.options(num_returns=p)
-        shard_refs = [split_opts.remote(b, p) for b in block_refs]
-        out_refs = [
-            merge_run.remote(
-                runner_ref, *[shard_refs[j][i] for j in range(len(shard_refs))]
-            )
-            for i in range(p)
-        ]
-    # filter empty partitions WITHOUT fetching the tables to the driver:
-    # tiny boolean probes read each output in-place in the object store
-    flags = ray.get([nonempty.remote(r) for r in out_refs])
-    done = [r for r, f in zip(out_refs, flags) if f]
-    if not done:
-        return rd.from_arrow(runner(ray.get(block_refs[0])))  # zero rows
-    return rd.from_arrow_refs(done)
+    return exchange(stamped, PART, run_partition, p, plan.blocks)

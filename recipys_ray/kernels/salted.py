@@ -236,7 +236,11 @@ def run_salted_chain(
     span, one payload shuffle total. Otherwise this legacy whole-group
     carry path runs (exact, but one task per mega-group on the skinny
     projection)."""
-    from recipys_ray.kernels.grouped import _lazy_size_bytes, adaptive_stamp_rows
+    from recipys_ray.kernels.grouped import (
+        _lazy_size_bytes,
+        exchange,
+        plan_exchange,
+    )
 
     # The salted machinery is MULTI-PASS by construction (hot-group
     # detection, chunk counts, state passes, the payload exchange). Pin the
@@ -251,7 +255,6 @@ def run_salted_chain(
     if _lazy_size_bytes(ds) is None:
         ds = ds.materialize()
 
-    stamp_batch_rows = adaptive_stamp_rows(ds, stamp_batch_rows)
     if getattr(steps[0], "salt_grid_capable", False):
         from recipys_ray.kernels.chunked import (
             run_salted_resample_chain,
@@ -339,8 +342,9 @@ def run_salted_chain(
     stamp = SaltedStamp(
         group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
     )
+    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
     stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=stamp_batch_rows
+        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
     )
 
     # main pass: group identity includes the salt, so a chunk never sees
@@ -353,8 +357,8 @@ def run_salted_chain(
     # materialize: the main output is consumed twice (cold + hot split) and
     # its schema is needed for the union — one pinned copy beats re-running
     # the whole shuffle per consumer
-    main_out = stamped.groupby(PART).map_groups(
-        run_partition, batch_format="pyarrow"
+    main_out = exchange(
+        stamped, PART, run_partition, num_partitions, plan.blocks
     ).materialize()
 
     # carry pass: exact features for hot groups on the skinny projection

@@ -91,16 +91,10 @@ def asof_join(
     # coalesce while stamping: Ray's sort pays a fixed cost per input block
     # (128 ~800-row blocks measured 3.7s of a 4.3s join at sf0.1) — the pad
     # stage doubles as the block coalescer, same as the grouped-chain stamp
-    from recipys_ray.kernels.grouped import adaptive_stamp_rows
+    from recipys_ray.kernels.grouped import exchange, stamp_union
 
-    combined = left.map_batches(
-        pad(0, {}), batch_format="pyarrow",
-        batch_size=adaptive_stamp_rows(left),
-    ).union(
-        right.map_batches(
-            pad(1, out_names), batch_format="pyarrow",
-            batch_size=adaptive_stamp_rows(right),
-        )
+    combined, blocks = stamp_union(
+        [(left, pad(0, {})), (right, pad(1, out_names))], num_partitions
     )
 
     def join_partition(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -125,6 +119,7 @@ def asof_join(
             lf, rf, on=on, by=by, direction=direction, tolerance=tolerance
         )
 
-    return combined.groupby("__asof_part__").map_groups(
-        join_partition, batch_format="pandas"
+    return exchange(
+        combined, "__asof_part__", join_partition, num_partitions, blocks,
+        batch_format="pandas",
     )

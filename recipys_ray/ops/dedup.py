@@ -94,19 +94,17 @@ def partitioned_groupby_map(ds, key_cols: list[str], fn,
     # the stamp doubles as a block coalescer when the row count is knowable
     # (Ray's sort pays a fixed cost per input block; many tiny blocks
     # dominate small corpora) — unknown counts keep per-block batches
-    try:
-        n = ds._meta_count()
-    except Exception:
-        n = None
-    bs = int(np.clip(n // 16, 16_384, 262_144)) if n else None
+    from recipys_ray.kernels.grouped import exchange, plan_exchange
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=bs)
-        .groupby("__pgm_part__")
-        .map_groups(
-            run_arrow if batch_format == "pyarrow" else run,
-            batch_format=batch_format,
-        )
+    plan = plan_exchange(ds, num_partitions)
+    stamped = ds.map_batches(
+        stamp, batch_format="pyarrow",
+        batch_size=plan.stamp_rows if plan.blocks else None,
+    )
+    return exchange(
+        stamped, "__pgm_part__",
+        run_arrow if batch_format == "pyarrow" else run,
+        num_partitions, plan.blocks, batch_format=batch_format,
     )
 
 

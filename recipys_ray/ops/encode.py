@@ -132,7 +132,10 @@ def collapse_rare_categories(
     R-recipes ``step_other`` analog, the standard pre-encoding guard
     against long-tail categorical explosion. A category survives iff its
     exact corpus count ≥ ``min_count``; null categories stay null
-    (nulls are missing, not rare — SQL semantics).
+    (nulls are missing, not rare — SQL semantics). Dictionary columns
+    collapse on their decoded values; when the category type cannot hold
+    ``other_label`` (integer categories, string label) the collapsed
+    column holds the categories' string form.
 
     Motion is the encoder-family standard: one vectorized per-block
     (category, count) combiner pass, partials fold per category through
@@ -196,12 +199,20 @@ def collapse_rare_categories(
         col = tbl.column(cat_col)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
+        if pa.types.is_dictionary(col.type):
+            col = col.dictionary_decode()
         ok = pc.is_in(col, value_set=pa.array(kept, col.type)) \
             if kept else pa.array([False] * len(col), pa.bool_())
+        try:
+            other = pa.scalar(other_label, col.type)
+            out = col
+        except (pa.ArrowInvalid, pa.ArrowTypeError, TypeError, ValueError):
+            # the category type can't hold the label (numeric categories,
+            # string label): the collapsed column is the string form
+            other = pa.scalar(str(other_label), pa.string())
+            out = col.cast(pa.string())
         collapsed = pc.if_else(
-            pc.is_valid(col),
-            pc.if_else(ok, col, pa.scalar(other_label, col.type)),
-            col,
+            pc.is_valid(col), pc.if_else(ok, out, other), out
         )
         return tbl.append_column(out_col, collapsed)
 

@@ -1171,7 +1171,10 @@ def transition_latency(
     ``time_col``); ``mean_gap_us`` is ONE double division of exact
     integers — bit-equal to the SQL ``lag() OVER`` oracle. Within-group
     ordering must be made total by ``order_cols`` (include a tiebreak
-    id), exactly as the oracle's window ORDER BY.
+    id), exactly as the oracle's window ORDER BY. A null ``time_col``
+    makes its gaps NULL, as in SQL: the pair counts in ``n`` but not in
+    the gap total / max (NULL when every gap of the pair is NULL), and
+    the mean divides the valid-gap total by ``n``.
 
     Motion mirrors :func:`transition_counts`: ONE skinny hash exchange
     on the group key, a vectorized sort + shift forms pairs for every
@@ -1183,7 +1186,8 @@ def transition_latency(
     ocols = list(order_cols)
     # time_col commonly doubles as an order col — project it once
     cols = list(dict.fromkeys(gcols + ocols + [state_col, time_col]))
-    stat_cols = ["__n__", "__tot__", "__max__"]
+    stat_cols = ["__n__", "__nv__", "__tot__", "__max__"]
+    lowest = np.iinfo(np.int64).min
 
     def pairs(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf[cols].sort_values(
@@ -1191,27 +1195,36 @@ def transition_latency(
         )
         frm = pdf[state_col]
         to = frm.shift(-1)
-        t = pdf[time_col].to_numpy()
-        if np.issubdtype(t.dtype, np.datetime64):
-            t = t.astype("datetime64[us]").astype(np.int64)
+        # a null time on either side makes the gap NULL (SQL epoch_us):
+        # the pair still counts in n, but not in the gap sum / max
+        tser = pdf[time_col]
+        tvalid = tser.notna().to_numpy()
+        if pd.api.types.is_datetime64_any_dtype(tser):
+            t = tser.to_numpy().astype("datetime64[us]").astype(np.int64)
         else:
-            t = t.astype(np.int64)
-        gap = np.empty(len(t), dtype=np.int64)
+            t = tser.fillna(0).to_numpy().astype(np.int64)
+        gap = np.zeros(len(t), dtype=np.int64)
+        gap_ok = np.zeros(len(t), dtype=bool)
         if len(t):
             gap[:-1] = t[1:] - t[:-1]
-            gap[-1] = 0
+            gap_ok[:-1] = tvalid[1:] & tvalid[:-1]
         grp = pdf.groupby(gcols, sort=False, dropna=False, observed=True)
         last = grp.cumcount(ascending=False).to_numpy() == 0
         keep_mask = ~last & to.notna().to_numpy()
+        ok = gap_ok[keep_mask]
+        g = gap[keep_mask]
         keep = pd.DataFrame({
             from_col: frm.to_numpy()[keep_mask],
             to_col: to.to_numpy()[keep_mask],
-            "__gap__": gap[keep_mask],
+            "__ok__": ok.astype(np.int64),
+            "__sum__": np.where(ok, g, 0),
+            "__top__": np.where(ok, g, lowest),
         })
         out = (
             keep.groupby([from_col, to_col], sort=False, dropna=False,
-                         observed=True)["__gap__"]
-            .agg(__n__="size", __tot__="sum", __max__="max")
+                         observed=True)
+            .agg(__n__=("__ok__", "size"), __nv__=("__ok__", "sum"),
+                 __tot__=("__sum__", "sum"), __max__=("__top__", "max"))
             .reset_index()
         )
         for c in stat_cols:
@@ -1227,17 +1240,23 @@ def transition_latency(
         agg = (
             pdf.groupby([from_col, to_col], sort=False, dropna=False,
                         observed=True)
-            .agg(__n__=("__n__", "sum"), __tot__=("__tot__", "sum"),
-                 __max__=("__max__", "max"))
+            .agg(__n__=("__n__", "sum"), __nv__=("__nv__", "sum"),
+                 __tot__=("__tot__", "sum"), __max__=("__max__", "max"))
             .reset_index()
         )
         n = agg["__n__"].to_numpy(np.int64)
         tot = agg["__tot__"].to_numpy(np.int64)
+        null = agg["__nv__"].to_numpy(np.int64) == 0  # every gap NULL
         out = agg[[from_col, to_col]].copy()
         out["n"] = n
-        out["total_gap_us"] = tot
-        out["mean_gap_us"] = tot.astype(np.float64) / n.astype(np.float64)
-        out["max_gap_us"] = agg["__max__"].to_numpy(np.int64)
+        out["total_gap_us"] = pd.array(tot, dtype="Int64")
+        out["mean_gap_us"] = np.where(
+            null, np.nan, tot.astype(np.float64) / n.astype(np.float64)
+        )
+        out["max_gap_us"] = pd.array(
+            agg["__max__"].to_numpy(np.int64), dtype="Int64"
+        )
+        out.loc[null, ["total_gap_us", "max_gap_us"]] = pd.NA
         return out
 
     return partitioned_groupby_map(local, [from_col, to_col], fold)
@@ -2303,7 +2322,9 @@ def association_rules(
     )
 
     # a basket lives in exactly ONE partition of the group-key exchange,
-    # so per-partition distinct counts sum exactly
+    # so per-partition distinct counts sum exactly. The partition's basket
+    # count rides on its first item row (every basket here has an item),
+    # so no sentinel row has to fit a null into the item column's type.
     def count_part(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.drop_duplicates([group_col, item_col])
         per_item = (
@@ -2311,15 +2332,11 @@ def association_rules(
             .size()
             .reset_index(name="n_item")
         )
-        per_item["nb"] = np.int64(0)
-        total = pd.DataFrame({
-            item_col: pd.Series([None], dtype=per_item[item_col].dtype),
-            "n_item": pd.Series([0], dtype=np.int64),
-            "nb": pd.Series([pdf[group_col].nunique()], dtype=np.int64),
-        })
-        out = pd.concat([per_item, total], ignore_index=True)
-        out["n_item"] = out["n_item"].astype(np.int64)
-        return out
+        per_item["n_item"] = per_item["n_item"].astype(np.int64)
+        nb = np.zeros(len(per_item), dtype=np.int64)
+        nb[:1] = pdf[group_col].nunique()
+        per_item["nb"] = nb
+        return per_item
 
     cdf = partitioned_groupby_map(
         gi, [group_col], count_part, num_partitions=num_partitions
@@ -2336,11 +2353,7 @@ def association_rules(
             "lift": pd.Series(dtype=np.float64),
         }))
     n_baskets = int(cdf["nb"].sum())
-    items = (
-        cdf[cdf[item_col].notna()]
-        .groupby(item_col, sort=False, observed=True)["n_item"]
-        .sum()
-    )
+    items = cdf.groupby(item_col, sort=False, observed=True)["n_item"].sum()
     if len(items) > driver_cap:
         raise ValueError(
             f"{len(items)} items exceeds driver_cap={driver_cap}; join "

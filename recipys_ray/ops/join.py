@@ -374,7 +374,7 @@ def _shuffle_join(left, right, left_on, right_on, how, right_suffix,
     all_types = {**{c: ltypes[c] for c in lcols},
                  **{out_names[c]: rtypes[c] for c in r_value_cols}}
 
-    from recipys_ray.kernels.grouped import adaptive_stamp_rows
+    from recipys_ray.kernels.grouped import exchange, stamp_union
 
     def pad(tag: int, key_cols, rename: dict):
         def fn(tbl: pa.Table) -> pa.Table:
@@ -402,14 +402,9 @@ def _shuffle_join(left, right, left_on, right_on, how, right_suffix,
     # the right key columns ride along under the LEFT key names so the
     # in-partition merge is a plain same-name merge
     r_rename = {**dict(zip(right_on, left_on)), **out_names}
-    combined = left.map_batches(
-        pad(0, left_on, {}), batch_format="pyarrow",
-        batch_size=adaptive_stamp_rows(left),
-    ).union(
-        right.map_batches(
-            pad(1, right_on, r_rename), batch_format="pyarrow",
-            batch_size=adaptive_stamp_rows(right),
-        )
+    combined, blocks = stamp_union(
+        [(left, pad(0, left_on, {})), (right, pad(1, right_on, r_rename))],
+        num_partitions,
     )
 
     out_schema = pa.schema([(c, all_types[c]) for c in all_cols])
@@ -460,6 +455,6 @@ def _shuffle_join(left, right, left_on, right_on, how, right_suffix,
             out[all_cols], schema=out_schema, preserve_index=False
         )
 
-    return combined.groupby("__join_part__").map_groups(
-        join_partition, batch_format="pyarrow"
+    return exchange(
+        combined, "__join_part__", join_partition, num_partitions, blocks
     )

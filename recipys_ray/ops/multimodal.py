@@ -32,6 +32,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from recipys_ray.kernels.grouped import actor_pool_args
+
 
 def _stable_u64(data: np.ndarray) -> np.ndarray:
     return pd.util.hash_array(data).astype(np.uint64)
@@ -570,7 +572,7 @@ def decode_images(ds, binary_col: str = "image", concurrency: int = 4,
         DecodeImage,
         fn_constructor_kwargs={"binary_col": binary_col, "fake": fake},
         batch_format="pyarrow",
-        concurrency=concurrency,
+        **actor_pool_args(concurrency),
         batch_size=batch_size,
     )
 

@@ -141,10 +141,11 @@ def _plan(left, right, on, right_on, by, right_suffix):
 
 
 def _co_shuffle(left, right, by, on, right_on, all_cols, all_types,
-                out_names, num_partitions):
-    """Stamp hash(by)%P on both sides, pad to the common schema, union —
-    the single all-to-all exchange both range ops ride."""
-    from recipys_ray.kernels.grouped import adaptive_stamp_rows
+                out_names, num_partitions, partition_fn):
+    """Stamp hash(by)%P on both sides, pad to the common schema, union and
+    run ``partition_fn`` per co-partition — the single all-to-all exchange
+    both range ops ride."""
+    from recipys_ray.kernels.grouped import exchange, stamp_union
 
     if num_partitions is None:
         from recipys_ray.kernels.grouped import choose_partitions
@@ -174,14 +175,11 @@ def _co_shuffle(left, right, by, on, right_on, all_cols, all_types,
     r_rename = {right_on: on, **out_names}
     if right_on == on:
         r_rename.pop(right_on)
-    return left.map_batches(
-        pad(0, {}), batch_format="pyarrow", batch_size=adaptive_stamp_rows(left)
-    ).union(
-        right.map_batches(
-            pad(1, r_rename), batch_format="pyarrow",
-            batch_size=adaptive_stamp_rows(right),
-        )
+    combined, blocks = stamp_union(
+        [(left, pad(0, {})), (right, pad(1, r_rename))], num_partitions
     )
+    return exchange(combined, "__rj_part__", partition_fn, num_partitions,
+                    blocks)
 
 
 def range_join(
@@ -209,11 +207,6 @@ def range_join(
     all_types = {**{c: ltypes[c] for c in lcols},
                  **{out_names[c]: rtypes[c] for c in r_value_cols}}
     out_schema = pa.schema([(c, all_types[c]) for c in all_cols])
-
-    combined = _co_shuffle(
-        left, right, by, on, right_on, all_cols, all_types, out_names,
-        num_partitions,
-    )
 
     def join_partition(tbl: pa.Table) -> pa.Table:
         # split sides while still Arrow — converting the unioned partition
@@ -246,8 +239,9 @@ def range_join(
             out[all_cols], schema=out_schema, preserve_index=False
         )
 
-    return combined.groupby("__rj_part__").map_groups(
-        join_partition, batch_format="pyarrow"
+    return _co_shuffle(
+        left, right, by, on, right_on, all_cols, all_types, out_names,
+        num_partitions, join_partition,
     )
 
 
@@ -311,11 +305,6 @@ def range_agg(
     out_cols = list(out_schema.names)
 
     right = right.select_columns(by + [right_on] + need_cols)
-    combined = _co_shuffle(
-        left, right, by, on, right_on, all_cols, all_types,
-        {c: out_names.get(c, c) for c in need_cols}, num_partitions,
-    )
-
     def agg_partition(tbl: pa.Table) -> pa.Table:
         src = tbl.column("__rj_src__")
         lf = tbl.filter(pc.equal(src, 0)).select(lcols).to_pandas()
@@ -371,6 +360,8 @@ def range_agg(
             pdf[out_cols], schema=out_schema, preserve_index=False
         )
 
-    return combined.groupby("__rj_part__").map_groups(
-        agg_partition, batch_format="pyarrow"
+    return _co_shuffle(
+        left, right, by, on, right_on, all_cols, all_types,
+        {c: out_names.get(c, c) for c in need_cols}, num_partitions,
+        agg_partition,
     )

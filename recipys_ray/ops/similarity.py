@@ -16,6 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from recipys_ray.kernels.grouped import actor_pool_args
+
 
 def _normalize(M: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(M, axis=1)
@@ -106,7 +108,7 @@ def knn_brute_force(
             "id_col": id_col,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
+        **actor_pool_args(concurrency),
     ).to_pandas()  # per-batch top-k only — tiny
     return _finish_topk(partials, k, id_col)
 
@@ -199,6 +201,6 @@ def knn_ivf(
             "allowed_cells": allowed,
         },
         batch_format="pyarrow",
-        concurrency=4,
+        **actor_pool_args(4),
     ).to_pandas()
     return _finish_topk(partials, k, id_col)

@@ -16,6 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from recipys_ray.kernels.grouped import actor_pool_args
+
 # tiny per-language stopword lists for the n-gram/stopword language heuristic
 _STOPWORDS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "it", "that", "for"},
@@ -387,7 +389,7 @@ def text_features(ds, text_col: str = "text", concurrency=(1, 8),
         TextFeaturizer,
         fn_constructor_kwargs={"text_col": text_col},
         batch_format="pyarrow",
-        concurrency=concurrency,
+        **actor_pool_args(concurrency),
         batch_size=batch_size,
     )
 
@@ -692,7 +694,7 @@ def bpe_encode(
             "rules_ref": rules_ref,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
+        **actor_pool_args(concurrency),
         batch_size=batch_size,
     )
 
@@ -800,7 +802,7 @@ def unigram_lm_score(
             "total_n": total_n,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
+        **actor_pool_args(concurrency),
         batch_size=batch_size,
     )
 
@@ -1289,7 +1291,7 @@ def bigram_lm_score(
             "vocab_v": float(top_k),
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
+        **actor_pool_args(concurrency),
         batch_size=batch_size,
     )
 

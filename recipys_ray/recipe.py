@@ -314,6 +314,8 @@ class Recipe:
         into map_batches chains and grouped shuffles, where fit flushes pin
         the pipeline, and how salting routes. Mirrors ``_run``'s chaining
         rules (same resolution pass); one line per physical stage."""
+        from recipys_ray.kernels.grouped import plan_exchange
+
         ing = self._check_data(data)
         lines: list[str] = []
         pending: list[str] = []
@@ -321,9 +323,36 @@ class Recipe:
         mode: Optional[str] = None
         chain_key = None
         n_shuffles = 0
+        # what the next exchange sizes itself from: the recipe's input
+        # (exact), a derived dataset (no size metadata: the default
+        # partition count, unknown rows) or the data a fit flush pinned
+        # (sized only once pinned, at run time)
+        source = ing.dataset
+        pinned = object()
+
+        def sizing(src, group, sort, p=None) -> tuple:
+            """(partition count or None, text) of one exchange over src."""
+            p = p or self.partitions
+            if src is pinned:
+                return p, (
+                    (f"partitions={p}" if p else
+                     "partitions sized from the pinned data")
+                    + ", stamp blocks sized from the pinned data"
+                )
+            plan = plan_exchange(src, p)
+            if not group and not (
+                sort and plan.partitions > 1
+                and all(getattr(st, "chunk_mergeable", False)
+                        for st in pending_steps)
+            ):
+                plan = plan_exchange(src, 1)  # one serial partition
+            return plan.partitions, (
+                f"partitions={plan.partitions}, stamp blocks="
+                f"{plan.blocks or '? (rows unknown)'}"
+            )
 
         def flush():
-            nonlocal pending, mode, chain_key, n_shuffles
+            nonlocal pending, mode, chain_key, n_shuffles, source
             if not pending:
                 return
             head_grid = (
@@ -347,6 +376,12 @@ class Recipe:
                     and not getattr(st, "_parity_chunked", False)
                     for st in pending_steps[1:]
                 )
+                if not salted and getattr(
+                    pending_steps[0], "combinable", False
+                ):
+                    source = None  # the partial-aggregate stage's output
+                head = f"(group={list(g)}, sort={list(s)}; "
+                p, size = sizing(source, g, s)
                 if (
                     salted and len(pending) > 1 and head_grid
                     and tail_mergeable
@@ -355,32 +390,31 @@ class Recipe:
                     # chunk states measured on the resampled rows
                     n_shuffles += 1
                     lines.append(
-                        f"grouped shuffle #{n_shuffles}{tag} "
-                        f"(group={list(g)}, sort={list(s)}; grid head + "
-                        f"resampled-row chunk states; fused "
-                        f"x{len(pending)}): " + " -> ".join(pending)
+                        f"grouped shuffle #{n_shuffles}{tag} {head}grid "
+                        f"head + resampled-row chunk states; fused "
+                        f"x{len(pending)}; {size}): " + " -> ".join(pending)
                     )
                 elif salted and len(pending) > 1 and head_grid:
                     # grid-head split (two bounded salted shuffles) — the
                     # tail has a non-chunk-mergeable step
                     n_shuffles += 2
                     lines.append(
-                        f"grouped shuffle #{n_shuffles - 1}{tag} "
-                        f"(group={list(g)}, sort={list(s)}): {pending[0]} "
-                        f"(grid slot-ownership chunks)"
+                        f"grouped shuffle #{n_shuffles - 1}{tag} {head}"
+                        f"{size}): {pending[0]} (grid slot-ownership chunks)"
                     )
                     lines.append(
-                        f"grouped shuffle #{n_shuffles}{tag} "
-                        f"(re-salted over resampled rows; fused "
-                        f"x{len(pending) - 1}): " + " -> ".join(pending[1:])
+                        f"grouped shuffle #{n_shuffles}{tag} (re-salted "
+                        f"over resampled rows; fused x{len(pending) - 1}; "
+                        f"{sizing(pinned, g, s, p)[1]}): "
+                        + " -> ".join(pending[1:])
                     )
                 else:
                     n_shuffles += 1
                     lines.append(
-                        f"grouped shuffle #{n_shuffles}{tag} "
-                        f"(group={list(g)}, sort={list(s)}; fused "
-                        f"x{len(pending)}): " + " -> ".join(pending)
+                        f"grouped shuffle #{n_shuffles}{tag} {head}fused "
+                        f"x{len(pending)}; {size}): " + " -> ".join(pending)
                     )
+            source = None  # every stage's output is a derived dataset
             pending.clear()
             pending_steps.clear()
             mode = None
@@ -403,11 +437,14 @@ class Recipe:
                 mbf = self.materialize_before_fit
                 pin = {True: "materialize", "memory": "materialize",
                        "disk": "parquet checkpoint"}.get(mbf, "no pin")
+                if pin != "no pin":
+                    source = pinned
                 lines.append(f"fit flush ({pin}): fit {name}")
             k = step.kind
             if k == "actor":
                 flush()
                 lines.append(f"actor-pool stage: {name}")
+                source = None
             else:
                 key = (
                     (tuple(step.group_cols), tuple(step.seq_cols))

@@ -3,6 +3,9 @@ import pandas as pd
 import pytest
 import ray
 
+# the driver-contract tables at scale factor 0.001 (TESTDATA.md)
+SF0001 = "/root/testdata/sf0.001"
+
 
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():

@@ -1,0 +1,124 @@
+"""Plan shape of the sort exchange: stamp sizing and reducer layout."""
+
+import itertools
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import ray.data as rd
+
+from recipys_ray.kernels.grouped import (
+    exchange,
+    plan_exchange,
+    stamp_block_rows,
+    stamp_union,
+    union_stamp_rows,
+)
+
+
+def blocks(n: int, rows: int) -> int:
+    return -(-n // rows)
+
+
+def test_small_box_gets_one_block_per_partition():
+    # the flagship on one CPU: 306k rows, P = 2 → 2 blocks, not 16
+    assert blocks(306_000, stamp_block_rows(306_000, 2)) == 2
+
+
+def test_large_box_keeps_sixteen_blocks():
+    # 2M rows at P = 64 (32 CPUs): the measured 16-block sweet spot
+    rows = stamp_block_rows(2_000_000, 64)
+    assert rows == 125_000 and blocks(2_000_000, rows) == 16
+
+
+def test_unknown_rows_keep_requested_batch():
+    assert stamp_block_rows(None, 2) == 262_144
+    assert stamp_block_rows(None, 2, requested=50_000) == 50_000
+
+
+def test_blocks_never_exceed_partitions():
+    for n, p in itertools.product(
+        [1, 999, 16_384, 100_000, 306_018, 4_200_000, 50_000_000],
+        [1, 2, 3, 8, 64, 4096],
+    ):
+        assert blocks(n, stamp_block_rows(n, p)) <= p, (n, p)
+
+
+def test_union_blocks_stay_within_partitions():
+    for nl, nr, p in itertools.product(
+        [1, 500, 40_000, 306_018, 3_000_000], [1, 700, 90_000, 2_000_000],
+        [2, 3, 8, 64],
+    ):
+        rl, rr_ = union_stamp_rows([nl, nr], p)
+        assert blocks(nl, rl) + blocks(nr, rr_) <= p, (nl, nr, p)
+    # a side of unknown size keeps the requested batch
+    assert union_stamp_rows([None, 90_000], 8)[0] == 262_144
+
+
+def _stamp(p):
+    def fn(tbl: pa.Table) -> pa.Table:
+        k = tbl.column("k").to_numpy()
+        return tbl.append_column("part", pa.array((k % p).astype(np.int32)))
+
+    return fn
+
+
+def test_union_exchange_materializes_at_most_p_blocks(ray_session):
+    p = 4
+    left = rd.from_pandas(pd.DataFrame({"k": np.arange(70_000)}))
+    right = rd.from_pandas(pd.DataFrame({"k": np.arange(30_000)}))
+    combined, planned = stamp_union([(left, _stamp(p)), (right, _stamp(p))], p)
+    assert planned <= p
+    assert combined.materialize().num_blocks() <= p
+
+
+def test_exchange_gives_each_reducer_whole_partitions(ray_session):
+    import ray
+
+    p = 8
+    ds = rd.from_pandas(pd.DataFrame({"k": np.arange(65_536)}))
+    plan = plan_exchange(ds, p)
+    assert plan.blocks == 4  # 16_384-row stamp batches (the 16k floor)
+
+    def summarize(tbl: pa.Table) -> pa.Table:
+        parts = set(tbl.column("part").to_pylist())
+        assert len(parts) == 1  # fn sees one whole partition per call
+        return pa.table({"part": [parts.pop()], "n": [len(tbl)]})
+
+    stamped = ds.map_batches(_stamp(p), batch_format="pyarrow",
+                             batch_size=plan.stamp_rows)
+    out = exchange(stamped, "part", summarize, p, plan.blocks).materialize()
+    per_block = sorted(
+        ray.get(ref).column("part").to_pylist()
+        for bundle in out.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    )
+    # four reducers, two partition ids each, every row once
+    assert per_block == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    assert out.to_pandas()["n"].sum() == 65_536
+
+
+def test_derived_dataset_has_unknown_blocks(ray_session):
+    ds = rd.from_pandas(pd.DataFrame({"k": np.arange(1000)}))
+    derived = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    plan = plan_exchange(derived, 4)
+    assert plan.partitions == 4 and plan.blocks is None
+    assert plan.stamp_rows == 262_144
+
+
+def test_explain_reports_exchange_sizing(ray_session):
+    from recipys_ray.pipelines.transcripts import flagship_recipe
+
+    pdf = pd.DataFrame({
+        "conv_id": np.repeat(np.arange(40), 500),
+        "turn_idx": np.tile(np.arange(500), 40),
+        "ts": pd.Timestamp("2024-01-01")
+        + pd.to_timedelta(np.tile(np.arange(500), 40), unit="min"),
+        "n_chars": np.arange(20_000), "latency_s": np.arange(20_000.0),
+        "score": np.arange(20_000.0),
+    })
+    plan = flagship_recipe(rd.from_pandas(pdf), partitions=4).explain()
+    shuffle = plan.splitlines()[0]
+    # 20k rows at P = 4: max(16_384, 5_000)-row stamp batches → 2 blocks
+    assert "partitions=4, stamp blocks=2" in shuffle
+    assert "total grouped shuffles: 1" in plan

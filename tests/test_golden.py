@@ -15,6 +15,17 @@ from recipys_ray.pipelines.transcripts import make_transcripts
 from .conftest import f1_datetime, f1_pandas, load_reference, sorted_pdf
 
 
+@pytest.fixture(scope="module", autouse=True)
+def reference_code():
+    """Skip the module, with the reason, when the original ReciPys package
+    can't be imported; tests/test_oracle_parity.py keeps the same query
+    families checked against their DuckDB oracles."""
+    try:
+        load_reference()
+    except ImportError as e:
+        pytest.skip(f"original ReciPys code not importable ({e})")
+
+
 def ref_f1_polars(nan_x1=False, nan_x2=False, datetime_time=False):
     pdf = f1_datetime(nan_x1=nan_x1) if datetime_time else f1_pandas(
         nan_x1=nan_x1, nan_x2=nan_x2

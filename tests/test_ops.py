@@ -5225,6 +5225,52 @@ class TestTransitionLatency:
         pd.testing.assert_frame_equal(outs[0], outs[1])
 
 
+    def test_null_timestamps_give_null_gaps(self, ray_session):
+        """A null time makes its gaps NULL (SQL epoch_us): the pair counts
+        in n, never in the gap total / max — not an INT64_MIN gap."""
+        import duckdb
+
+        from recipys_ray.ops.groupstats import transition_latency
+
+        pdf = pd.DataFrame({
+            "g": [1, 1, 1, 1, 2, 2, 3, 3],
+            "i": np.arange(8, dtype=np.int64),
+            "t": pd.to_datetime([
+                "2024-01-01 00:00", "2024-01-01 00:01", None,
+                "2024-01-01 00:05", "2024-01-01 00:00", None, None, None,
+            ]),
+            "s": ["a", "b", "a", "b", "a", "c", "c", "a"],
+        })
+        got = (
+            transition_latency(rd.from_pandas(pdf), ["g"], ["t", "i"],
+                               "s", "t")
+            .to_pandas().sort_values(["from_state", "to_state"])
+            .reset_index(drop=True)
+        )
+        con = duckdb.connect()
+        con.register("e", pdf)
+        exp = con.execute("""
+            WITH s AS (
+              SELECT g, s, t, lead(s) OVER w AS to_state,
+                     lead(t) OVER w AS to_t
+              FROM e WINDOW w AS (PARTITION BY g ORDER BY t, i)
+            )
+            SELECT s AS from_state, to_state,
+                   CAST(count(*) AS BIGINT) AS n,
+                   CAST(sum(epoch_us(to_t) - epoch_us(t)) AS BIGINT)
+                     AS total_gap_us,
+                   CAST(sum(epoch_us(to_t) - epoch_us(t)) AS DOUBLE)
+                     / CAST(count(*) AS DOUBLE) AS mean_gap_us,
+                   CAST(max(epoch_us(to_t) - epoch_us(t)) AS BIGINT)
+                     AS max_gap_us
+            FROM s WHERE to_state IS NOT NULL
+            GROUP BY 1, 2 ORDER BY 1, 2
+        """).df().reset_index(drop=True)
+        assert exp["total_gap_us"].isna().any()  # the case under test
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+        assert (got["max_gap_us"].dropna() >= 0).all()
+
+
 class TestChurnLabels:
     def test_matches_duckdb(self, ray_session):
         import duckdb
@@ -5351,6 +5397,40 @@ class TestCollapseRare:
         assert (got.loc[got["cat"].isin(["rare1", "rare2"]),
                         "cat_collapsed"] == "__other__").all()
         assert got.loc[got["cat"].isna(), "cat_collapsed"].isna().all()
+
+
+    def test_numeric_and_dictionary_categories(self, ray_session):
+        """Integer categories with a string label collapse to the string
+        form; integer labels keep the type; dictionary columns collapse on
+        their values."""
+        from recipys_ray.ops.encode import collapse_rare_categories
+
+        cats = [1] * 6 + [2] * 6 + [3, 4]
+        pdf = pd.DataFrame({"id": np.arange(14, dtype=np.int64),
+                            "cat": np.array(cats, dtype=np.int64)})
+        got = collapse_rare_categories(
+            rd.from_pandas(pdf), "cat", min_count=5,
+        ).to_pandas().sort_values("id")
+        assert got["cat_collapsed"].tolist() == (
+            ["1"] * 6 + ["2"] * 6 + ["__other__"] * 2
+        )
+        got = collapse_rare_categories(
+            rd.from_pandas(pdf), "cat", min_count=5, other_label=-1,
+        ).to_pandas().sort_values("id")
+        assert got["cat_collapsed"].tolist() == [1] * 6 + [2] * 6 + [-1, -1]
+
+        words = ["x"] * 5 + ["y", "z"] + [None]
+        tbl = pa.table({
+            "id": pa.array(np.arange(8, dtype=np.int64)),
+            "cat": pa.array(words).dictionary_encode(),
+        })
+        got = collapse_rare_categories(
+            rd.from_arrow(tbl), "cat", min_count=5,
+        ).to_pandas().sort_values("id")
+        assert got["cat_collapsed"].tolist()[:7] == (
+            ["x"] * 5 + ["__other__"] * 2
+        )
+        assert pd.isna(got["cat_collapsed"].iloc[7])
 
 
 class TestLongestStreak:
@@ -5852,6 +5932,29 @@ class TestAssociationRules:
         JOIN ic y ON y.it = d.cons CROSS JOIN nb
         ORDER BY ante, cons
     """
+
+    def test_integer_items(self, ray_session):
+        """Integer item ids: the per-partition basket total once rode a
+        null-item sentinel row that an int64 column can't hold."""
+        import duckdb
+
+        from recipys_ray.ops.groupstats import association_rules
+
+        rng = np.random.default_rng(94)
+        pdf = pd.DataFrame({
+            "g": rng.integers(0, 40, 400),
+            "it": rng.integers(0, 6, 400).astype(np.int64),
+        })
+        got = (
+            association_rules(rd.from_pandas(pdf).repartition(3), "g", "it",
+                              num_partitions=3)
+            .to_pandas().sort_values(["ante", "cons"])
+            .reset_index(drop=True)
+        )
+        con = duckdb.connect()
+        con.register("t", pdf)
+        exp = con.execute(self.SQL).df().reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
     def test_matches_duckdb(self, ray_session):
         import duckdb

@@ -30,36 +30,6 @@ def test_repeated_runs_deterministic():
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_raw_shuffle_equals_sort_shuffle():
-    """The raw two-phase hash shuffle and Ray's sort-based path must give
-    identical results."""
-    import functools
-
-    import ray.data as rd
-
-    import recipys_ray.kernels.grouped as G
-    import recipys_ray.recipe as R
-
-    tbl = make_transcripts(n_turns=2500, seed=17, mega_conv_turns=600)
-    orig = R.run_grouped_chain
-    try:
-        outs = {}
-        for mode in ("sort", "raw"):
-            R.run_grouped_chain = functools.partial(
-                G.run_grouped_chain, shuffle=mode
-            )
-            rec = flagship_recipe(rd.from_arrow(tbl), partitions=4)
-            outs[mode] = (
-                rec.prep()
-                .to_pandas()
-                .sort_values(["conv_id", "turn_idx"], kind="stable")
-                .reset_index(drop=True)
-            )
-        pd.testing.assert_frame_equal(outs["sort"], outs["raw"])
-    finally:
-        R.run_grouped_chain = orig
-
-
 def test_pack_sequences_partition_invariance():
     """Global offset-quantized packing must not depend on partitioning."""
     import numpy as np
