@@ -30,14 +30,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from recipys_ray.kernels.grouped import hash_part, partitioned_groupby_map
+
 BUCKET = "part_bucket"  # no "_" prefix: pyarrow ignores _-prefixed paths
 MANIFEST_DIR = "_manifest"
 DATA_DIR = "data"
-
-
-def _bucket_of(pdf: pd.DataFrame, key_cols: list[str], n: int) -> np.ndarray:
-    h = pd.util.hash_pandas_object(pdf[key_cols], index=False).to_numpy()
-    return (h % np.uint64(n)).astype(np.int32)
 
 
 def _input_fingerprint(ds) -> str:
@@ -101,16 +98,14 @@ def write_resumable(
     pending_arr = np.array(pending, dtype=np.int32)
 
     def keep_pending(tbl: pa.Table) -> pa.Table:
-        pdf = tbl.select(key_cols).to_pandas()
-        b = _bucket_of(pdf, key_cols, num_buckets)
+        b = hash_part(tbl, key_cols, num_buckets)
         return tbl.filter(pa.array(np.isin(b, pending_arr)))
 
     filtered = input_ds.map_batches(keep_pending, batch_format="pyarrow")
     out = pipeline(filtered)
 
     def stamp_bucket(tbl: pa.Table) -> pa.Table:
-        pdf = tbl.select(key_cols).to_pandas()
-        b = _bucket_of(pdf, key_cols, num_buckets)
+        b = hash_part(tbl, key_cols, num_buckets)
         return tbl.append_column(BUCKET, pa.array(b, pa.int32()))
 
     data_dir = os.path.join(out_dir, DATA_DIR)
@@ -222,16 +217,13 @@ def write_webdataset(
     cols = [key_col] + list(payload_cols) + meta_cols
 
     def keep_pending(tbl: pa.Table) -> pa.Table:
-        pdf = tbl.select([key_col]).to_pandas()
-        b = _bucket_of(pdf, [key_col], num_shards)
+        b = hash_part(tbl, [key_col], num_shards)
         tbl = tbl.append_column("__wds_shard__", pa.array(b))
         return tbl.filter(pa.array(np.isin(b, pending_arr)))
 
     filtered = input_ds.select_columns(cols).map_batches(
         keep_pending, batch_format="pyarrow"
     )
-
-    from recipys_ray.ops.dedup import partitioned_groupby_map
 
     def write_shard(pdf: pd.DataFrame) -> pd.DataFrame:
         out_rows = []

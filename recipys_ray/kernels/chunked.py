@@ -35,9 +35,25 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from recipys_ray.kernels.grouped import GID, PART, GroupedStage, assign_gid
+import ray
 
-SALT = "__salt__"
+from recipys_ray.kernels.grouped import (
+    GID,
+    PART,
+    GroupedStage,
+    assign_gid,
+    exchange,
+    plan_exchange,
+    run_grouped_chain,
+)
+from recipys_ray.kernels.salted import (
+    SALT,
+    SaltedStamp,
+    _hot_mask,
+    find_hot_groups,
+)
+
+GLOBAL_GROUP = "__global_g__"
 
 
 def boundary_chunk_state(
@@ -181,8 +197,6 @@ class _ChunkedRunner:
 
     def _resolved_prefixes(self) -> dict:
         if not isinstance(self.prefixes, dict):
-            import ray
-
             self.prefixes = ray.get(self.prefixes)
         return self.prefixes
 
@@ -338,7 +352,8 @@ def _fold_global(step, states_df: pd.DataFrame, group_cols: list[str],
     return pd.concat(out) if out else pd.DataFrame()
 
 
-def _grid_prefix_pass(hot_skinny, step, group_cols, sort_cols, chunk_span):
+def _grid_prefix_pass(hot_skinny, step, group_cols, sort_cols, chunk_span,
+                      plan):
     """Passes A+B of the salted grid resample (see
     :func:`run_salted_resample_grid`): per-chunk slot ownership plus the
     per-chunk ffill carry of every LAST-mapped column.
@@ -352,10 +367,10 @@ def _grid_prefix_pass(hot_skinny, step, group_cols, sort_cols, chunk_span):
        non-null value among its ON-GRID rows (post keep-first dedup);
        driver grouped ffill+shift → the ffill seed carried into each chunk.
 
-    Returns ``(prefix indexed by (group…, salt), res_i, unit)``.
+    Both passes are exchanges of the hot skinny rows on their stamped
+    ``PART`` (sized by the main exchange's ``plan``). Returns
+    ``(prefix indexed by (group…, salt), res_i, unit)``.
     """
-    import ray
-
     seq = step._seq_col
     last_cols = [
         c for c, acc in step._col_acc.items() if acc.value == "last"
@@ -369,8 +384,8 @@ def _grid_prefix_pass(hot_skinny, step, group_cols, sort_cols, chunk_span):
         out = g[seq].agg(["min", "max"]).reset_index()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    bounds = hot_skinny.groupby(PART).map_groups(
-        lambda p, _f=bounds_state: _f(p), batch_format="pyarrow"
+    bounds = exchange(
+        hot_skinny, PART, bounds_state, plan.partitions, plan.blocks
     ).to_pandas()
 
     res64 = np.timedelta64(pd.Timedelta(step.new_resolution).to_timedelta64())
@@ -452,8 +467,8 @@ def _grid_prefix_pass(hot_skinny, step, group_cols, sort_cols, chunk_span):
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    carries = hot_skinny.groupby(PART).map_groups(
-        lambda p, _f=carry_state: _f(p), batch_format="pyarrow"
+    carries = exchange(
+        hot_skinny, PART, carry_state, plan.partitions, plan.blocks
     ).to_pandas()
     carries = carries.sort_values(group_cols + [SALT], ignore_index=True)
     ck = (
@@ -582,8 +597,6 @@ class _GridHead:
 
     def _pref(self) -> pd.DataFrame:
         if not isinstance(self.prefix_ref, pd.DataFrame):
-            import ray
-
             self.prefix_ref = ray.get(self.prefix_ref)
         return self.prefix_ref
 
@@ -594,6 +607,80 @@ class _GridHead:
         )
 
 
+def _pick_hot_skinny(stamped, cols, group_cols, hot_keys):
+    """The hot groups' rows of ``stamped``, projected to ``cols`` and
+    pinned: every state pass reads them again."""
+
+    def pick_hot(tbl: pa.Table) -> pa.Table:
+        mask = _hot_mask(tbl, group_cols, hot_keys)
+        return tbl.select(
+            [c for c in cols if c in tbl.column_names]
+        ).filter(pa.array(mask))
+
+    return stamped.map_batches(pick_hot, batch_format="pyarrow").materialize()
+
+
+def _chunk_state_prefixes(hot_skinny, group_cols, sort_cols, stages, levels,
+                          plan, head=None) -> dict:
+    """The state passes (module docstring, step 2) and their driver fold
+    (step 3): for each dependency level, one exchange of the hot skinny
+    rows measures every chunk's state with the earlier levels' prefixes
+    applied, and the driver folds them into per-chunk prefix tables — the
+    intermediate reduce over partial states of FP-Hadoop (VLDB 2015).
+    Returns {step index: prefix table indexed by (group…, salt)}."""
+    kcols = group_cols + [SALT]
+    prefixes: dict[int, pd.DataFrame] = {}
+    for lv in sorted(set(levels)):
+        if not any(
+            levels[k] == lv and getattr(st.step, "chunk_mergeable", False)
+            for k, st in enumerate(stages)
+        ):
+            continue
+        runner = _ChunkedRunner(
+            group_cols, sort_cols, stages, levels, ray.put(dict(prefixes)),
+            mode="state", state_level=lv, head=head,
+        )
+
+        def run_state(tbl: pa.Table, _r=runner) -> pa.Table:
+            return _r(tbl)
+
+        merged: dict[int, list] = {}
+        for row in exchange(
+            hot_skinny, PART, run_state, plan.partitions, plan.blocks
+        ).take_all():
+            for k, df in pickle.loads(row["payload"]).items():
+                merged.setdefault(k, []).append(df)
+        for k, dfs in merged.items():
+            states_df = pd.concat(dfs, ignore_index=True)
+            prefixes[k] = _fold_global(
+                stages[k].step, states_df, group_cols, kcols
+            )
+    return prefixes
+
+
+def _chunk_main_pass(stamped, group_cols, sort_cols, stages, levels,
+                     prefixes, plan, head=None):
+    """The one payload exchange (module docstring, step 4): every partition
+    runs the chain chunk-locally and corrects it with the broadcast
+    prefixes; the helper columns are dropped."""
+    runner = _ChunkedRunner(
+        group_cols, sort_cols, stages, levels, ray.put(prefixes),
+        mode="run", head=head,
+    )
+
+    def run_partition(tbl: pa.Table) -> pa.Table:
+        return runner(tbl)
+
+    def drop_helpers(tbl: pa.Table) -> pa.Table:
+        return tbl.drop_columns(
+            [c for c in (SALT, PART, GLOBAL_GROUP) if c in tbl.column_names]
+        )
+
+    return exchange(
+        stamped, PART, run_partition, plan.partitions, plan.blocks
+    ).map_batches(drop_helpers, batch_format="pyarrow")
+
+
 def run_salted_resample_grid(
     ds,
     group_cols: list[str],
@@ -601,7 +688,6 @@ def run_salted_resample_grid(
     step,
     num_partitions: int,
     salt,
-    stamp_batch_rows: int = 262_144,
 ):
     """Grid-mode resampling over salted mega-groups — bounded tasks.
 
@@ -614,21 +700,11 @@ def run_salted_resample_grid(
     forward-fills seeded with the carry (:func:`_resample_partition_frame`);
     cold groups run the ordinary whole-group kernel. Every task bounded by
     chunk span (+ its share of the slot grid)."""
-    from recipys_ray.kernels.grouped import exchange, plan_exchange
-    from recipys_ray.kernels.salted import (
-        SaltedStamp,
-        _hot_mask,
-        find_hot_groups,
-    )
-
-    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions)
     hot = find_hot_groups(ds, group_cols, salt.threshold)
     if not hot:
-        from recipys_ray.kernels.grouped import run_grouped_chain
-
         return run_grouped_chain(
-            ds, group_cols, sort_cols, [step],
-            num_partitions=num_partitions, stamp_batch_rows=stamp_batch_rows,
+            ds, group_cols, sort_cols, [step], num_partitions=num_partitions
         )
     hot_keys = set(hot)
     stamp = SaltedStamp(
@@ -642,25 +718,15 @@ def run_salted_resample_grid(
         c for c, acc in step._col_acc.items() if acc.value == "last"
     ]
     kcols = group_cols + [SALT]
-    skinny = list(dict.fromkeys(
-        kcols + sort_cols + [seq] + last_cols + [PART]
-    ))
-
-    def pick_hot(tbl: pa.Table) -> pa.Table:
-        mask = _hot_mask(tbl, group_cols, hot_keys)
-        return tbl.select(
-            [c for c in skinny if c in tbl.column_names]
-        ).filter(pa.array(mask))
-
-    hot_skinny = stamped.map_batches(
-        pick_hot, batch_format="pyarrow"
-    ).materialize()
+    hot_skinny = _pick_hot_skinny(
+        stamped, list(dict.fromkeys(kcols + sort_cols + [seq] + last_cols
+                                    + [PART])),
+        group_cols, hot_keys,
+    )
 
     prefix, res_i, unit = _grid_prefix_pass(
-        hot_skinny, step, group_cols, sort_cols, salt.chunk_span
+        hot_skinny, step, group_cols, sort_cols, salt.chunk_span, plan
     )
-    import ray
-
     prefix_ref = ray.put(prefix)
     runner_group_cols = list(group_cols)
     runner_sort = list(sort_cols)
@@ -690,7 +756,6 @@ def run_salted_resample_chain(
     steps: Sequence,
     num_partitions: int,
     salt,
-    stamp_batch_rows: int = 262_144,
 ):
     """Fused salted resample→chain execution: ONE payload shuffle total.
 
@@ -707,22 +772,13 @@ def run_salted_resample_chain(
     ownership (≈ chunk_span / resolution, plus any event-less gap the chunk
     precedes), the fold stays O(#hot chunks), and raw payload moves exactly
     once."""
-    from recipys_ray.kernels.grouped import exchange, plan_exchange
-    from recipys_ray.kernels.salted import (
-        SaltedStamp,
-        _hot_mask,
-        find_hot_groups,
-    )
-
     head_step, tail = steps[0], list(steps[1:])
-    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions)
     hot = find_hot_groups(ds, group_cols, salt.threshold)
     if not hot:
-        from recipys_ray.kernels.grouped import run_grouped_chain
-
         return run_grouped_chain(
             ds, group_cols, sort_cols, list(steps),
-            num_partitions=num_partitions, stamp_batch_rows=stamp_batch_rows,
+            num_partitions=num_partitions,
         )
     hot_keys = set(hot)
     stamp = SaltedStamp(
@@ -736,83 +792,30 @@ def run_salted_resample_chain(
     last_cols = [
         c for c, acc in head_step._col_acc.items() if acc.value == "last"
     ]
-    kcols = group_cols + [SALT]
     stages = [GroupedStage(s) for s in tail]
     levels = step_levels(tail)
 
     # ONE materialized hot skinny feeds the grid prefix passes AND every
     # downstream state pass: union of both column footprints
     probe = _ChunkedRunner(group_cols, sort_cols, stages, levels, {})
-    skinny = list(dict.fromkeys(
-        [c for c in probe.needed if c != GID]
-        + [seq] + last_cols + [PART]
-    ))
-
-    def pick_hot(tbl: pa.Table) -> pa.Table:
-        mask = _hot_mask(tbl, group_cols, hot_keys)
-        return tbl.select(
-            [c for c in skinny if c in tbl.column_names]
-        ).filter(pa.array(mask))
-
-    hot_skinny = stamped.map_batches(
-        pick_hot, batch_format="pyarrow"
-    ).materialize()
+    hot_skinny = _pick_hot_skinny(
+        stamped, list(dict.fromkeys(
+            [c for c in probe.needed if c != GID]
+            + [seq] + last_cols + [PART]
+        )),
+        group_cols, hot_keys,
+    )
 
     prefix, res_i, unit = _grid_prefix_pass(
-        hot_skinny, head_step, group_cols, sort_cols, salt.chunk_span
+        hot_skinny, head_step, group_cols, sort_cols, salt.chunk_span, plan
     )
-    import ray as _ray
-
-    head = _GridHead(_ray.put(prefix), head_step, group_cols, res_i, unit)
-
-    prefixes: dict[int, pd.DataFrame] = {}
-    for lv in sorted(set(levels)):
-        if not any(
-            levels[k] == lv and getattr(st.step, "chunk_mergeable", False)
-            for k, st in enumerate(stages)
-        ):
-            continue
-        runner = _ChunkedRunner(
-            group_cols, sort_cols, stages, levels, _ray.put(dict(prefixes)),
-            mode="state", state_level=lv, head=head,
-        )
-
-        def run_state(tbl: pa.Table, _r=runner) -> pa.Table:
-            return _r(tbl)
-
-        merged: dict[int, list] = {}
-        for row in hot_skinny.groupby(PART).map_groups(
-            run_state, batch_format="pyarrow"
-        ).take_all():
-            for k, df in pickle.loads(row["payload"]).items():
-                merged.setdefault(k, []).append(df)
-        for k, dfs in merged.items():
-            states_df = pd.concat(dfs, ignore_index=True)
-            prefixes[k] = _fold_global(
-                stages[k].step, states_df, group_cols, kcols
-            )
-
-    runner = _ChunkedRunner(
-        group_cols, sort_cols, stages, levels, _ray.put(prefixes),
-        mode="run", head=head,
+    head = _GridHead(ray.put(prefix), head_step, group_cols, res_i, unit)
+    prefixes = _chunk_state_prefixes(
+        hot_skinny, group_cols, sort_cols, stages, levels, plan, head
     )
-
-    def run_partition(tbl: pa.Table) -> pa.Table:
-        return runner(tbl)
-
-    out = exchange(
-        stamped, PART, run_partition, num_partitions, plan.blocks
+    return _chunk_main_pass(
+        stamped, group_cols, sort_cols, stages, levels, prefixes, plan, head
     )
-
-    def drop_salt(tbl: pa.Table) -> pa.Table:
-        return tbl.drop_columns(
-            [c for c in (SALT, PART) if c in tbl.column_names]
-        )
-
-    return out.map_batches(drop_salt, batch_format="pyarrow")
-
-
-GLOBAL_GROUP = "__global_g__"
 
 
 def run_global_chunked(
@@ -820,7 +823,6 @@ def run_global_chunked(
     sort_cols: list[str],
     steps: Sequence,
     num_partitions: int,
-    stamp_batch_rows: int = 262_144,
 ):
     """Parallel execution of a GLOBAL (ungrouped) order-dependent chain.
 
@@ -832,9 +834,7 @@ def run_global_chunked(
     """
     import ray.data.aggregate as agg_mod
 
-    from recipys_ray.kernels.grouped import exchange, plan_exchange
-
-    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions)
     s0 = sort_cols[0]
     mm = ds.aggregate(agg_mod.Min(s0), agg_mod.Max(s0))
     lo, hi = mm[f"min({s0})"], mm[f"max({s0})"]
@@ -868,7 +868,6 @@ def run_global_chunked(
     group_cols = [GLOBAL_GROUP]
     stages = [GroupedStage(s) for s in steps]
     levels = step_levels(steps)
-    kcols = group_cols + [SALT]
 
     probe = _ChunkedRunner(group_cols, sort_cols, stages, levels, {})
     skinny = [c for c in dict.fromkeys(probe.needed + [PART]) if c != GID]
@@ -879,56 +878,12 @@ def run_global_chunked(
     hot_skinny = stamped.map_batches(
         pick_skinny, batch_format="pyarrow"
     ).materialize()
-
-    prefixes: dict[int, pd.DataFrame] = {}
-    for lv in sorted(set(levels)):
-        if not any(
-            levels[k] == lv and getattr(st.step, "chunk_mergeable", False)
-            for k, st in enumerate(stages)
-        ):
-            continue
-        import ray as _ray
-
-        runner = _ChunkedRunner(
-            group_cols, sort_cols, stages, levels, _ray.put(dict(prefixes)),
-            mode="state", state_level=lv,
-        )
-
-        def run_state(tbl: pa.Table, _r=runner) -> pa.Table:
-            return _r(tbl)
-
-        merged: dict[int, list] = {}
-        for row in hot_skinny.groupby(PART).map_groups(
-            run_state, batch_format="pyarrow"
-        ).take_all():
-            for k, df in pickle.loads(row["payload"]).items():
-                merged.setdefault(k, []).append(df)
-        for k, dfs in merged.items():
-            states_df = pd.concat(dfs, ignore_index=True)
-            prefixes[k] = _fold_global(
-                stages[k].step, states_df, group_cols, kcols
-            )
-
-    import ray as _ray
-
-    runner = _ChunkedRunner(
-        group_cols, sort_cols, stages, levels, _ray.put(prefixes),
-        mode="run",
+    prefixes = _chunk_state_prefixes(
+        hot_skinny, group_cols, sort_cols, stages, levels, plan
     )
-
-    def run_partition(tbl: pa.Table) -> pa.Table:
-        return runner(tbl)
-
-    out = exchange(
-        stamped, PART, run_partition, num_partitions, plan.blocks
+    return _chunk_main_pass(
+        stamped, group_cols, sort_cols, stages, levels, prefixes, plan
     )
-
-    def drop_helpers(tbl: pa.Table) -> pa.Table:
-        return tbl.drop_columns(
-            [c for c in (SALT, PART, GLOBAL_GROUP) if c in tbl.column_names]
-        )
-
-    return out.map_batches(drop_helpers, batch_format="pyarrow")
 
 
 def _parity_prepass(hot_skinny, all_counts, group_cols, parity_steps):
@@ -981,19 +936,10 @@ def run_salted_chunked(
     steps: Sequence,
     num_partitions: int,
     salt,
-    stamp_batch_rows: int = 262_144,
 ):
     """Salted grouped chain with chunk-local execution (module docstring).
     Caller guarantees every step is grouped + chunk_mergeable."""
-    from recipys_ray.kernels.salted import (
-        SaltedStamp,
-        _hot_mask,
-        find_hot_groups,
-    )
-
-    from recipys_ray.kernels.grouped import exchange, plan_exchange
-
-    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions)
     parity_steps = [
         s for s in steps if getattr(s, "_parity_chunked", False)
     ]
@@ -1005,11 +951,8 @@ def run_salted_chunked(
         hot = find_hot_groups(ds, group_cols, salt.threshold)
         all_counts = None
     if not hot:
-        from recipys_ray.kernels.grouped import run_grouped_chain
-
         return run_grouped_chain(
-            ds, group_cols, sort_cols, steps,
-            num_partitions=num_partitions, stamp_batch_rows=stamp_batch_rows,
+            ds, group_cols, sort_cols, steps, num_partitions=num_partitions
         )
     hot_keys = set(hot)
     stamp = SaltedStamp(
@@ -1021,73 +964,20 @@ def run_salted_chunked(
 
     stages = [GroupedStage(s) for s in steps]
     levels = step_levels(steps)
-    kcols = group_cols + [SALT]
 
     # skinny hot subset, reused by every state pass
     probe = _ChunkedRunner(group_cols, sort_cols, stages, levels, {})
-    skinny = [
-        c for c in dict.fromkeys(probe.needed + [PART]) if c != GID
-    ]
-
-    def pick_hot(tbl: pa.Table) -> pa.Table:
-        mask = _hot_mask(tbl, group_cols, hot_keys)
-        return tbl.select(
-            [c for c in skinny if c in tbl.column_names]
-        ).filter(pa.array(mask))
-
-    hot_skinny = stamped.map_batches(
-        pick_hot, batch_format="pyarrow"
-    ).materialize()
+    hot_skinny = _pick_hot_skinny(
+        stamped, [c for c in dict.fromkeys(probe.needed + [PART]) if c != GID],
+        group_cols, hot_keys,
+    )
 
     if parity_steps:
         _parity_prepass(hot_skinny, all_counts, group_cols, parity_steps)
 
-    prefixes: dict[int, pd.DataFrame] = {}
-    for lv in sorted(set(levels)):
-        if not any(
-            levels[k] == lv and getattr(st.step, "chunk_mergeable", False)
-            for k, st in enumerate(stages)
-        ):
-            continue
-        import ray as _ray
-
-        runner = _ChunkedRunner(
-            group_cols, sort_cols, stages, levels, _ray.put(dict(prefixes)),
-            mode="state", state_level=lv,
-        )
-
-        def run_state(tbl: pa.Table, _r=runner) -> pa.Table:
-            return _r(tbl)
-
-        merged: dict[int, list] = {}
-        for row in hot_skinny.groupby(PART).map_groups(
-            run_state, batch_format="pyarrow"
-        ).take_all():
-            for k, df in pickle.loads(row["payload"]).items():
-                merged.setdefault(k, []).append(df)
-        for k, dfs in merged.items():
-            states_df = pd.concat(dfs, ignore_index=True)
-            prefixes[k] = _fold_global(
-                stages[k].step, states_df, group_cols, kcols
-            )
-
-    import ray as _ray
-
-    runner = _ChunkedRunner(
-        group_cols, sort_cols, stages, levels, _ray.put(prefixes),
-        mode="run",
+    prefixes = _chunk_state_prefixes(
+        hot_skinny, group_cols, sort_cols, stages, levels, plan
     )
-
-    def run_partition(tbl: pa.Table) -> pa.Table:
-        return runner(tbl)
-
-    out = exchange(
-        stamped, PART, run_partition, num_partitions, plan.blocks
+    return _chunk_main_pass(
+        stamped, group_cols, sort_cols, stages, levels, prefixes, plan
     )
-
-    def drop_salt(tbl: pa.Table) -> pa.Table:
-        return tbl.drop_columns(
-            [c for c in (SALT, PART) if c in tbl.column_names]
-        )
-
-    return out.map_batches(drop_salt, batch_format="pyarrow")

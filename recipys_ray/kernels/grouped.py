@@ -1,5 +1,31 @@
-"""The engine's shuffle core: hash-partition by group key, then one
-per-partition sorted, vectorized scan.
+"""The engine's shuffle core: the one module that stamps, co-locates and
+slices hash partitions. Every all-to-all exchange of the library goes
+through these entry points (``tests/test_exchange_plan.py`` fails on a
+``map_groups`` call or a copied ``hash_pandas_object`` stamp elsewhere):
+
+- :func:`hash_part` — the partition stamp, ``hash(key) % P`` with pandas'
+  stable hash. Used by the grouped chain's stamp, :class:`SaltedStamp`
+  (kernels/salted.py), the co-partitioned join unions and the resumable
+  output buckets of ``io.py``.
+- :func:`plan_exchange` — partition count, stamp batch rows and planned
+  stamp blocks from plan metadata. Used by every exchange below and by
+  ``Recipe.explain()``.
+- :func:`stamp_union` — the padded, tagged, stamped union of the sides of
+  a co-partitioned exchange: ``hash_join`` (ops/join.py), ``asof_join``
+  (ops/asof.py), ``range_join``/``range_agg`` (ops/rangejoin.py) and the
+  legacy salted carry merge.
+- :func:`exchange` — co-locate a stamped partition column and run a kernel
+  once per partition. Used by the grouped chain, the salted and chunked
+  paths (kernels/salted.py, kernels/chunked.py: main passes and the chunk
+  state passes), the joins above, and the range-stamped ops
+  ``add_global_rank``/``add_ntile`` (ops/rank.py),
+  ``sorted_neighborhood_dedup`` (ops/editdist.py) and ``semantic_dedup``
+  (ops/semdedup.py).
+- :func:`partitioned_groupby_map` — stamp by key, then one vectorized call
+  per partition: the dedup, text, group-statistics, time-series, set,
+  graph, quantile and profile ops (~25 modules under ``ops/``), the
+  hot-group spill route and the legacy salted carry pass
+  (kernels/salted.py), and the sharded writer of ``io.py``.
 
 Order/group-dependent steps (grouped ffill, expanding/historical aggregates,
 lag/lead, sessionization, as-of resampling — reference step.py:138-139,
@@ -40,6 +66,12 @@ This plans the shuffle ONCE for a whole chain of order-dependent steps: the
 flagship pipeline (ffill → historical × k → lag → sessionize) costs a single
 all-to-all exchange.
 
+A zero-row result has no columns after ``Dataset.to_pandas()``: Ray builds
+that frame from ``iter_batches``, which yields nothing for zero-row blocks
+(``ray.data.from_pandas(df.iloc[:0]).to_pandas()`` is (0, 0) as well), and
+on all-filtered input no stamp or kernel runs at all. Callers that read the
+columns of a possibly empty result check ``len`` first.
+
 Scale notes (100 TB / 256 nodes): P is chosen from the data size
 (~256 MiB per partition) with a floor of 2× cluster CPUs; skew is bounded by
 the largest single conversation, not key frequency, because partitioning is
@@ -60,6 +92,11 @@ import pyarrow.compute as pc
 
 GID = "__gid__"
 PART = "__part__"
+# the side tag of a co-partitioned union (:func:`stamp_union`)
+SRC = "__src__"
+# stamp batch rows: the ≥16-block rule's cap, and the batch when the input
+# row count is unknown (:func:`stamp_block_rows`)
+STAMP_ROWS = 262_144
 
 
 def _cluster_cpus() -> int:
@@ -127,25 +164,25 @@ def _meta_rows(ds) -> Optional[int]:
     return int(n) if n else None
 
 
-def stamp_block_rows(
-    n: Optional[int], num_partitions: int, requested: int = 262_144
-) -> int:
+def stamp_block_rows(n: Optional[int], num_partitions: int) -> int:
     """The sort-exchange sizing rule: stamp batch rows for ``n`` input rows
     (None: unknown) hash-split into ``num_partitions`` partitions.
 
     The stamp stage's output blocks are the exchange's map tasks and, in
     Ray's sort exchange, its reducers. Two bounds set the batch:
-    - at least 16 blocks (batch ≤ ``requested``), the measured kernel-stage
-      sweet spot on a large box (BASELINE.md "Adaptive stamp");
+    - at least 16 blocks (batch ≤ :data:`STAMP_ROWS`), the measured
+      kernel-stage sweet spot on a large box (BASELINE.md "Adaptive stamp");
     - at most P blocks (batch ≥ ⌈n / P⌉): a reducer beyond the P-th holds
       no partition, yet costs a reduce task, a partition-kernel task, a
       write task and a schema-change warning.
-    The cap wins where the two disagree. Unknown ``n`` keeps ``requested``.
+    The cap wins where the two disagree. Unknown ``n`` keeps
+    :data:`STAMP_ROWS`.
     """
     if not n:
-        return requested
+        return STAMP_ROWS
     return max(
-        int(np.clip(n // 16, 16_384, requested)), -(-n // max(num_partitions, 1))
+        int(np.clip(n // 16, 16_384, STAMP_ROWS)),
+        -(-n // max(num_partitions, 1)),
     )
 
 
@@ -156,46 +193,98 @@ class ExchangePlan(NamedTuple):
     blocks: Optional[int]
 
 
-def plan_exchange(
-    ds, num_partitions: Optional[int] = None, requested: int = 262_144
-) -> ExchangePlan:
+def plan_exchange(ds, num_partitions: Optional[int] = None) -> ExchangePlan:
     """Size a hash exchange over ``ds`` from its plan metadata only (pure
     reads, from_pandas, materialized datasets); a derived dataset keeps the
-    default partition count and ``requested`` stamp rows."""
+    default partition count and :data:`STAMP_ROWS` stamp rows."""
     p = num_partitions or choose_partitions(ds)
     n = _meta_rows(ds)
-    rows = stamp_block_rows(n, p, requested)
+    rows = stamp_block_rows(n, p)
     return ExchangePlan(p, rows, -(-n // rows) if n else None)
 
 
 def union_stamp_rows(
-    counts: Sequence[Optional[int]], num_partitions: int,
-    requested: int = 262_144,
+    counts: Sequence[Optional[int]], num_partitions: int
 ) -> list:
     """Stamp batch rows per side of a unioned exchange (co-partitioned
     joins), from each side's row count (None: unknown). The cap applies to
     the union's total block count: every side gets one block and shares
     the rest of the P-block budget by row count. A side with an unknown
-    row count keeps ``requested``."""
+    row count keeps :data:`STAMP_ROWS`."""
     spare = max(num_partitions - len(counts), 0)
     total = sum(n for n in counts if n)
     return [
-        stamp_block_rows(n, 1 + spare * n // total, requested) if n
-        else requested
+        stamp_block_rows(n, 1 + spare * n // total) if n else STAMP_ROWS
         for n in counts
     ]
 
 
-def stamp_union(sides: Sequence, num_partitions: int):
-    """Stamp each side of ``[(dataset, stamp_fn), ...]`` with its pyarrow
-    ``stamp_fn`` and union them: the input of a co-partitioned exchange.
-    Returns (union, planned blocks or None when a side's size is
-    unknown)."""
-    counts = [_meta_rows(d) for d, _ in sides]
+def hash_part(
+    data, key_cols: Sequence[str], num_partitions: int
+) -> np.ndarray:
+    """The engine's one partition stamp: ``hash(key_cols) % P`` as int32,
+    per row of a pyarrow Table or a pandas DataFrame. pandas' stable hash
+    of the key values (not their column names), so ids agree across
+    processes, across sides of a join and across runs (resumable output
+    buckets rely on that). No key columns: every row in partition 0."""
+    if not key_cols:
+        return np.zeros(len(data), dtype=np.int32)
+    if isinstance(data, pa.Table):
+        pdf = data.select(list(key_cols)).to_pandas()
+    else:
+        pdf = data[list(key_cols)]
+    h = pd.util.hash_pandas_object(pdf, index=False).to_numpy()
+    return (h % np.uint64(num_partitions)).astype(np.int32)
+
+
+class _StampPartition:
+    def __init__(self, key_cols: Sequence[str], p: int):
+        self.key_cols = list(key_cols)
+        self.p = p
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        part = hash_part(tbl, self.key_cols, self.p)
+        return tbl.append_column(PART, pa.array(part, pa.int32()))
+
+
+def stamp_union(sides: Sequence, all_cols: Sequence[str], all_types: dict,
+                num_partitions: int):
+    """The input of a co-partitioned exchange (joins): each side of
+    ``[(dataset, key_cols, rename), ...]`` is stamped with
+    ``PART = hash_part(key_cols)``, has its columns renamed by ``rename``,
+    is padded to ``all_cols`` (a missing column is all null of its
+    ``all_types`` type) and is tagged with its index in :data:`SRC`.
+    ``key_cols`` name the side's own columns: the stamp hashes them before
+    the rename, while the table's pandas metadata still matches them (a
+    renamed nullable ``Int64`` key would otherwise come back as float64
+    and hash differently from the other side). Returns (union, planned
+    blocks or None when a side's size is unknown)."""
+
+    def pad(tag: int, key_cols, rename: dict):
+        def fn(tbl: pa.Table) -> pa.Table:
+            part = hash_part(tbl, key_cols, num_partitions)
+            if rename:
+                tbl = tbl.rename_columns(
+                    [rename.get(c, c) for c in tbl.column_names]
+                )
+            for c in all_cols:
+                if c not in tbl.column_names:
+                    tbl = tbl.append_column(
+                        c, pa.nulls(len(tbl), all_types[c])
+                    )
+            tbl = tbl.select(list(all_cols))
+            tbl = tbl.append_column(
+                SRC, pa.array(np.full(len(tbl), tag, np.int8))
+            )
+            return tbl.append_column(PART, pa.array(part))
+
+        return fn
+
+    counts = [_meta_rows(d) for d, _, _ in sides]
     rows = union_stamp_rows(counts, num_partitions)
     stamped = [
-        d.map_batches(fn, batch_format="pyarrow", batch_size=r)
-        for (d, fn), r in zip(sides, rows)
+        d.map_batches(pad(i, k, rn), batch_format="pyarrow", batch_size=r)
+        for i, ((d, k, rn), r) in enumerate(zip(sides, rows))
     ]
     blocks = (
         sum(-(-n // r) for n, r in zip(counts, rows))
@@ -209,16 +298,15 @@ def exchange(
     reducers: Optional[int], batch_format: str = "pyarrow",
 ):
     """Co-locate every stamped partition id (``part_col`` in [0, P)), then
-    call ``fn`` once per non-empty partition, as ``groupby(part_col)
-    .map_groups(fn)`` would.
+    call ``fn`` once per non-empty partition with all of its rows.
 
     With ``reducers`` known (the planned stamp block count, ≤ P) the range
     sort's boundaries are fixed: reducer j holds partition ids
-    [jP/R, (j+1)P/R), an equal share of the hash space. ``map_groups``
-    samples the boundaries from a few rows per block instead: with two
-    blocks and P = 2, more often than not one reducer receives every row
-    and the other none. Unknown (or a single) ``reducers`` keeps sampled
-    boundaries, one reducer per stamped block.
+    [jP/R, (j+1)P/R), an equal share of the hash space. Ray's
+    ``groupby().map_groups`` samples the boundaries from a few rows per
+    block instead: with two blocks and P = 2, more often than not one
+    reducer receives every row and the other none. Unknown (or a single)
+    ``reducers`` keeps sampled boundaries, one reducer per stamped block.
     """
     r = min(reducers or 0, num_partitions)
     boundaries = [j * num_partitions // r for j in range(1, r)] if r else []
@@ -243,31 +331,47 @@ def exchange(
     )
 
 
+def partitioned_groupby_map(ds, key_cols: list[str], fn,
+                            num_partitions: int | None = None,
+                            batch_format: str = "pandas"):
+    """Hash-partition by key, then apply ``fn`` once per PARTITION (a pandas
+    frame or Arrow table containing every row of its keys, without the
+    stamp column) — ``fn`` handles all groups in one vectorized pass, not
+    one Python call per group.
+
+    ``num_partitions=None`` sizes the exchange from the data
+    (:func:`choose_partitions`: ≥ 2× cluster CPUs, ~256 MiB per partition)
+    — a fixed count would make partition size grow linearly with the
+    corpus. When ``ds`` is a derived dataset whose size the plan can't
+    infer, callers that know the pre-map input should pass
+    ``choose_partitions(input_ds)`` explicitly."""
+    if num_partitions is None:
+        num_partitions = choose_partitions(ds)
+
+    def run(batch):
+        if batch_format == "pyarrow":
+            return fn(batch.drop_columns([PART]))
+        return fn(batch.drop(columns=[PART]))
+
+    run.__name__ = getattr(fn, "__name__", "run")
+    # the stamp doubles as a block coalescer when the row count is knowable
+    # (Ray's sort pays a fixed cost per input block; many tiny blocks
+    # dominate small corpora) — unknown counts keep per-block batches
+    plan = plan_exchange(ds, num_partitions)
+    stamped = ds.map_batches(
+        _StampPartition(key_cols, num_partitions), batch_format="pyarrow",
+        batch_size=plan.stamp_rows if plan.blocks else None,
+    )
+    return exchange(stamped, PART, run, num_partitions, plan.blocks,
+                    batch_format=batch_format)
+
+
 def cheap_count(ds) -> int:
     """Row count from plan metadata when knowable (pure reads, from_pandas,
     materialized datasets) — falls back to one full count pass otherwise.
     Saves the extra pass that ``ds.count()`` costs before sampling stages."""
     n = _meta_rows(ds)
     return n if n else ds.count()
-
-
-def _hash_mod(pdf: pd.DataFrame, group_cols: list[str], p: int) -> np.ndarray:
-    h = pd.util.hash_pandas_object(pdf[group_cols], index=False).to_numpy()
-    return (h % np.uint64(p)).astype(np.int32)
-
-
-class _StampPartition:
-    def __init__(self, group_cols: list[str], p: int):
-        self.group_cols = group_cols
-        self.p = p
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        if not self.group_cols:
-            part = np.zeros(len(tbl), dtype=np.int32)
-        else:
-            pdf = tbl.select(self.group_cols).to_pandas()
-            part = _hash_mod(pdf, self.group_cols, self.p)
-        return tbl.append_column(PART, pa.array(part, pa.int32()))
 
 
 def assign_gid(pdf: pd.DataFrame, group_cols: list[str]) -> pd.DataFrame:
@@ -363,7 +467,6 @@ def run_grouped_chain(
     sort_cols: list[str],
     steps: Sequence,
     num_partitions: Optional[int] = None,
-    stamp_batch_rows: int = 262_144,
 ):
     """Apply a fused chain of order-dependent steps (see module docstring).
 
@@ -387,14 +490,11 @@ def run_grouped_chain(
             # dataset is one mega-group (kernels/chunked.py)
             from recipys_ray.kernels.chunked import run_global_chunked
 
-            return run_global_chunked(
-                ds, sort_cols, steps, num_partitions=p,
-                stamp_batch_rows=stamp_batch_rows,
-            )
+            return run_global_chunked(ds, sort_cols, steps, num_partitions=p)
         # non-mergeable global chain: single partition (a global sequential
         # scan of e.g. an expanding MEDIAN is inherently serial)
         p = 1
-    plan = plan_exchange(ds, p, stamp_batch_rows)
+    plan = plan_exchange(ds, p)
     stamped = ds.map_batches(
         _StampPartition(group_cols, p),
         batch_format="pyarrow",

@@ -29,7 +29,6 @@ and driver-verified (historical_salted query).
 
 from __future__ import annotations
 
-import pickle
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,9 +37,14 @@ import pyarrow as pa
 
 from recipys_ray.kernels.grouped import (
     PART,
+    SRC,
     GroupedStage,
-    _hash_mod,
     _PartitionRunner,
+    exchange,
+    hash_part,
+    partitioned_groupby_map,
+    plan_exchange,
+    stamp_union,
 )
 
 SALT = "__salt__"
@@ -127,11 +131,6 @@ def find_hot_groups(
     # corpus with more distinct (group, block) partials than the driver
     # should hold: hash-partition the skinny count rows, sum + filter
     # inside each partition — only hot survivors reach the driver
-    def stamp(tbl: pa.Table) -> pa.Table:
-        pdf = tbl.select(cols).to_pandas()
-        part = _hash_mod(pdf, cols, 256)
-        return tbl.append_column("__hgp__", pa.array(part, pa.int32()))
-
     def reduce_part(pdf: pd.DataFrame) -> pd.DataFrame:
         tot = (
             pdf.groupby(cols, sort=False, observed=True)["__cnt__"]
@@ -140,15 +139,9 @@ def find_hot_groups(
         )
         return tot[tot["__cnt__"] > threshold]
 
-    hot_rows = (
-        counts.map_batches(stamp, batch_format="pyarrow")
-        .groupby("__hgp__")
-        .map_groups(
-            lambda p: reduce_part(p.drop(columns=["__hgp__"])),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    hot_rows = partitioned_groupby_map(
+        counts, cols, reduce_part, 256
+    ).to_pandas()
     if hot_rows.empty:
         return {}
     if len(cols) == 1:
@@ -189,13 +182,12 @@ class SaltedStamp:
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
         pdf = tbl.select(self.group_cols).to_pandas()
-        part = _hash_mod(pdf, self.group_cols, self.p)
+        part = hash_part(pdf, self.group_cols, self.p)
         hot, salt = self._salt_values(tbl)
         if hot.any():
             pdf2 = pdf.loc[hot].copy()
             pdf2[SALT] = salt[hot]
-            part = part.copy()
-            part[hot] = _hash_mod(pdf2, self.group_cols + [SALT], self.p)
+            part[hot] = hash_part(pdf2, self.group_cols + [SALT], self.p)
         tbl = tbl.append_column(PART, pa.array(part, pa.int32()))
         tbl = tbl.append_column(SALT, pa.array(salt, pa.int64()))
         return tbl
@@ -226,7 +218,6 @@ def run_salted_chain(
     steps: Sequence,
     num_partitions: int,
     salt: SaltConfig,
-    stamp_batch_rows: int = 262_144,
 ):
     """Grouped chain with mega-group salting (see module docstring).
 
@@ -234,13 +225,9 @@ def run_salted_chain(
     the chunk-local path (kernels/chunked.py): per-chunk states + driver
     fold + in-place prefix correction — every task bounded by the chunk
     span, one payload shuffle total. Otherwise this legacy whole-group
-    carry path runs (exact, but one task per mega-group on the skinny
-    projection)."""
-    from recipys_ray.kernels.grouped import (
-        _lazy_size_bytes,
-        exchange,
-        plan_exchange,
-    )
+    carry path runs (exact, but each mega-group whole in one task on the
+    skinny projection)."""
+    from recipys_ray.kernels.grouped import _lazy_size_bytes
 
     # The salted machinery is MULTI-PASS by construction (hot-group
     # detection, chunk counts, state passes, the payload exchange). Pin the
@@ -265,7 +252,6 @@ def run_salted_chain(
             return run_salted_resample_grid(
                 ds, group_cols, sort_cols, steps[0],
                 num_partitions=num_partitions, salt=salt,
-                stamp_batch_rows=stamp_batch_rows,
             )
         tail_mergeable = all(
             getattr(s, "chunk_mergeable", False)
@@ -279,7 +265,6 @@ def run_salted_chain(
             return run_salted_resample_chain(
                 ds, group_cols, sort_cols, steps,
                 num_partitions=num_partitions, salt=salt,
-                stamp_batch_rows=stamp_batch_rows,
             )
         # non-mergeable (or duckdb-parity) tail: bounded grid resample
         # first, then re-salt the tail over the RESAMPLED rows (hot-group
@@ -288,7 +273,6 @@ def run_salted_chain(
         mid = run_salted_resample_grid(
             ds, group_cols, sort_cols, steps[0],
             num_partitions=num_partitions, salt=salt,
-            stamp_batch_rows=stamp_batch_rows,
         )
         return run_salted_chain(
             mid, group_cols, sort_cols, list(steps[1:]),
@@ -307,7 +291,6 @@ def run_salted_chain(
         return run_salted_chunked(
             ds, group_cols, sort_cols, steps,
             num_partitions=num_partitions, salt=salt,
-            stamp_batch_rows=stamp_batch_rows,
         )
     hot = find_hot_groups(ds, group_cols, salt.threshold)
     if not hot:
@@ -315,7 +298,7 @@ def run_salted_chain(
 
         return run_grouped_chain(
             ds, group_cols, sort_cols, steps,
-            num_partitions=num_partitions, stamp_batch_rows=stamp_batch_rows,
+            num_partitions=num_partitions,
         )
 
     cap = getattr(salt, "max_carry_rows", None)
@@ -342,7 +325,7 @@ def run_salted_chain(
     stamp = SaltedStamp(
         group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
     )
-    plan = plan_exchange(ds, num_partitions, stamp_batch_rows)
+    plan = plan_exchange(ds, num_partitions)
     stamped = ds.map_batches(
         stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
     )
@@ -379,15 +362,15 @@ def run_salted_chain(
 
     conv_runner = _PartitionRunner(group_cols, sort_cols, stages)
 
-    def per_group(tbl: pa.Table) -> pa.Table:
+    def carry_partition(tbl: pa.Table) -> pa.Table:
         out = conv_runner(tbl)
         keep = list(dict.fromkeys(group_cols + sort_cols + feature_cols))
-        return out.select([c for c in keep if c in out.column_names])
+        out = out.select([c for c in keep if c in out.column_names])
+        return out.append_column(SALT, pa.array(stamp._salt_values(out)[1]))
 
-    carry = (
-        ds.map_batches(pick_hot, batch_format="pyarrow")
-        .groupby(group_cols)
-        .map_groups(per_group, batch_format="pyarrow")
+    carry = partitioned_groupby_map(
+        ds.map_batches(pick_hot, batch_format="pyarrow"), group_cols,
+        carry_partition, num_partitions, batch_format="pyarrow",
     )
 
     # merge: swap exact features into the salted main-pass hot rows
@@ -401,72 +384,45 @@ def run_salted_chain(
 
     cold = main_out.map_batches(split_cold, batch_format="pyarrow")
     hot_main = main_out.map_batches(split_hot, batch_format="pyarrow")
+    kcols = group_cols + [SALT]
 
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-        src = g["__carry_src__"].to_numpy()
-        main_rows = g[src == 0]
-        carry_rows = g[src == 1]
-        # alignment is by independent stable sorts on the sort key: requires
-        # one carry row per main row; (group, sort) ties within a chunk would
-        # allow order-dependent features to swap payload rows, so this path
-        # documents/requires effectively-unique sort keys per chunk (the
-        # chunk-merge path in kernels/chunked.py has no such constraint)
-        if len(main_rows) != len(carry_rows):
+    def merge_partition(pdf: pd.DataFrame) -> pd.DataFrame:
+        # alignment is by stable sorts on (group, salt, sort key): requires
+        # one carry row per main row in every chunk; (group, sort) ties
+        # within a chunk would allow order-dependent features to swap
+        # payload rows, so this path documents/requires effectively-unique
+        # sort keys per chunk (the chunk-merge path in kernels/chunked.py
+        # has no such constraint)
+        src = pdf[SRC].to_numpy()
+        main_rows, carry_rows = (
+            pdf[src == tag].sort_values(
+                kcols + sort_cols, kind="stable", ignore_index=True
+            )
+            for tag in (0, 1)
+        )
+        sizes = pd.concat(
+            [rows.groupby(kcols).size() for rows in (main_rows, carry_rows)],
+            axis=1,
+        ).fillna(0)
+        bad = sizes[sizes[0] != sizes[1]]
+        if len(bad):
+            n_main, n_carry = bad.iloc[0].astype(int)
             raise ValueError(
-                f"salted carry merge misalignment: {len(main_rows)} main vs "
-                f"{len(carry_rows)} carry rows for one (group, salt) chunk"
+                f"salted carry merge misalignment: {n_main} main vs "
+                f"{n_carry} carry rows for one (group, salt) chunk"
             )
-        main_rows = main_rows.sort_values(
-            sort_cols, kind="stable", ignore_index=True
-        )
-        carry_rows = carry_rows.sort_values(
-            sort_cols, kind="stable", ignore_index=True
-        )
-        out = main_rows.copy()
-        out[feature_cols] = carry_rows[feature_cols].to_numpy()
-        return out.drop(columns=["__carry_src__"])
-
-    def tag(src_val):
-        def fn(tbl: pa.Table) -> pa.Table:
-            # align carry rows to the main schema (missing payload → null)
-            return tbl.append_column(
-                "__carry_src__", pa.array(np.full(len(tbl), src_val, np.int8))
-            )
-
-        return fn
-
-    # pad the carry rows to the main schema so union() accepts them
-    main_schema_names = None
-
-    def pad_carry(tbl: pa.Table, names, types) -> pa.Table:
-        for n, t in zip(names, types):
-            if n not in tbl.column_names:
-                tbl = tbl.append_column(n, pa.nulls(len(tbl), t))
-        return tbl.select(names)
+        main_rows[feature_cols] = carry_rows[feature_cols].to_numpy()
+        return main_rows.drop(columns=[SRC, PART])
 
     main_schema = hot_main.schema()
-    names, types = list(main_schema.names), list(main_schema.types)
-
-    carry_padded = carry.map_batches(
-        lambda t: pad_carry(t, names, types), batch_format="pyarrow"
+    union, blocks = stamp_union(
+        [(hot_main, kcols, {}), (carry, kcols, {})],
+        main_schema.names, dict(zip(main_schema.names, main_schema.types)),
+        num_partitions,
     )
-
-    hot_tagged = hot_main.map_batches(tag(0), batch_format="pyarrow")
-    carry_tagged = carry_padded.map_batches(tag(1), batch_format="pyarrow")
-
-    def stamp_salt_for_merge(tbl: pa.Table) -> pa.Table:
-        _, salt_vals = stamp._salt_values(tbl)
-        if SALT in tbl.column_names:
-            return tbl.set_column(
-                tbl.column_names.index(SALT), SALT, pa.array(salt_vals)
-            )
-        return tbl.append_column(SALT, pa.array(salt_vals))
-
-    merged = (
-        hot_tagged.union(carry_tagged)
-        .map_batches(stamp_salt_for_merge, batch_format="pyarrow")
-        .groupby(group_cols + [SALT])
-        .map_groups(merge_group, batch_format="pandas")
+    merged = exchange(
+        union, PART, merge_partition, num_partitions, blocks,
+        batch_format="pandas",
     )
 
     def drop_salt(tbl: pa.Table) -> pa.Table:

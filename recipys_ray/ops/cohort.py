@@ -48,7 +48,7 @@ def cohort_retention(
         to_periods, batch_format="pyarrow"
     )
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def partial(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.drop_duplicates()  # blocks may re-introduce dup pairs

@@ -25,6 +25,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from recipys_ray.kernels.grouped import partitioned_groupby_map
+
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 # Mersenne prime 2^61-1 — universal hashing for minhash permutations
@@ -56,56 +58,6 @@ class _ContentHash:
         texts = tbl.column(self.text_col).to_pandas().fillna("").to_numpy(object)
         h = pd.util.hash_array(texts).astype(np.int64)
         return tbl.append_column("__content_hash__", pa.array(h))
-
-
-def partitioned_groupby_map(ds, key_cols: list[str], fn,
-                            num_partitions: int | None = None,
-                            batch_format: str = "pandas"):
-    """Hash-partition by key, then apply ``fn`` once per PARTITION (a pandas
-    frame or Arrow table containing every row of its keys) — ``fn`` handles
-    all groups in one vectorized pass. Avoids Ray ``groupby(key).map_groups``'s
-    per-group Python call, which dominates when groups are tiny (e.g. one
-    Python invocation per LSH bucket).
-
-    ``num_partitions=None`` sizes the exchange from the data
-    (:func:`~recipys_ray.kernels.grouped.choose_partitions`: ≥ 2× cluster
-    CPUs, ~256 MiB per partition) — a fixed count would make partition size
-    grow linearly with the corpus. When ``ds`` is a derived dataset whose
-    size the plan can't infer, callers that know the pre-map input should
-    pass ``choose_partitions(input_ds)`` explicitly."""
-    if num_partitions is None:
-        from recipys_ray.kernels.grouped import choose_partitions
-
-        num_partitions = choose_partitions(ds)
-
-    def stamp(tbl: pa.Table) -> pa.Table:
-        pdf = tbl.select(key_cols).to_pandas()
-        h = pd.util.hash_pandas_object(pdf, index=False).to_numpy()
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return tbl.append_column("__pgm_part__", pa.array(part))
-
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.drop(columns=["__pgm_part__"])
-        return fn(pdf)
-
-    def run_arrow(tbl: pa.Table) -> pa.Table:
-        return fn(tbl.drop_columns(["__pgm_part__"]))
-
-    # the stamp doubles as a block coalescer when the row count is knowable
-    # (Ray's sort pays a fixed cost per input block; many tiny blocks
-    # dominate small corpora) — unknown counts keep per-block batches
-    from recipys_ray.kernels.grouped import exchange, plan_exchange
-
-    plan = plan_exchange(ds, num_partitions)
-    stamped = ds.map_batches(
-        stamp, batch_format="pyarrow",
-        batch_size=plan.stamp_rows if plan.blocks else None,
-    )
-    return exchange(
-        stamped, "__pgm_part__",
-        run_arrow if batch_format == "pyarrow" else run,
-        num_partitions, plan.blocks, batch_format=batch_format,
-    )
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):

@@ -61,7 +61,7 @@ def distinct_per_group(
         out["n_distinct"] = out["n_distinct"].astype(np.int64)
         return out
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     return partitioned_groupby_map(
         partials, list(group_cols), finish, num_partitions
@@ -132,7 +132,7 @@ def distinct_per_group_approx(
         out["n_distinct_approx"] = np.asarray(E, np.float64)
         return out
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     return partitioned_groupby_map(
         partials, list(group_cols), finish, num_partitions

@@ -67,7 +67,7 @@ def population_stability(
 
 def _value_counts(ds, col: str, driver_cap: int) -> pd.DataFrame:
     """Skinny exact value-count fold of non-null ``col`` (value, cnt)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def partial(tbl: pa.Table) -> pa.Table:
         vt = tbl.schema.field(col).type
@@ -257,7 +257,7 @@ def chi_square(
     distinct cells fold on the driver where the margins are vectorized.
     Above the cap, bucket a column first — a contingency table that
     large is no longer a readable test."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def partial(tbl: pa.Table) -> pa.Table:
         ta = tbl.schema.field(col_a).type

@@ -192,7 +192,7 @@ def dedup_levenshtein(
     ``max_block_distinct`` guards the O(distinct²) pair mine — a block
     with more distinct strings raises (pick a longer prefix) rather than
     silently OOMing a task."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     d = int(max_dist)
     blk = "__blk__"
@@ -410,7 +410,7 @@ def dedup_jaro_winkler(
     the bit-parallel kernel holds one uint64 position mask per string
     (block on a longer prefix and chunk, or use MinHash, for long
     texts)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     thr = float(threshold)
     if not 0.0 < thr <= 1.0:
@@ -523,8 +523,12 @@ def sorted_neighborhood_dedup(
     Texts must be ≤ 64 bytes (kernel contract)."""
     import ray
 
-    from recipys_ray.kernels.grouped import _lazy_size_bytes, choose_partitions
-    from recipys_ray.ops.dedup import partitioned_groupby_map  # noqa: F401
+    from recipys_ray.kernels.grouped import (
+        _lazy_size_bytes,
+        choose_partitions,
+        exchange,
+        plan_exchange,
+    )
 
     key_col = key_col or text_col
     w = int(window)
@@ -601,17 +605,19 @@ def sorted_neighborhood_dedup(
     carry_ref = ray.put(carries)
 
     # ---- pass 3: ONE payload shuffle + windowed compare -------------- #
+    null_range = num_partitions  # past every key range
+
     def stamp(tbl: pa.Table) -> pa.Table:
         keys = tbl.column(key_col).to_numpy(zero_copy_only=False)
         isn = pd.isna(keys)
         r = range_of(np.where(isn, "", keys))
-        r = np.where(isn, np.int32(-1), r)  # nulls: no compare, survive
+        r = np.where(isn, np.int32(null_range), r)  # no compare, survive
         return tbl.append_column("__rng__", pa.array(r, pa.int32()))
 
     def survivors(pdf: pd.DataFrame) -> pd.DataFrame:
         rid = int(pdf["__rng__"].iloc[0])
         pdf = pdf.drop(columns="__rng__")
-        if rid < 0:  # null-key rows all survive
+        if rid == null_range:  # null-key rows all survive
             return pdf[[id_col, text_col]]
         carry = ray.get(carry_ref).get(rid, pdf.iloc[0:0])
         if len(carry):
@@ -646,10 +652,13 @@ def sorted_neighborhood_dedup(
         keep = ~dup[nc:]
         return pdf[keep][[id_col, text_col]]
 
-    out = (
-        proj.map_batches(stamp, batch_format="pyarrow")
-        .groupby("__rng__")
-        .map_groups(survivors, batch_format="pandas")
+    plan = plan_exchange(proj, null_range + 1)
+    out = exchange(
+        proj.map_batches(
+            stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
+        ),
+        "__rng__", survivors, null_range + 1, plan.blocks,
+        batch_format="pandas",
     )
     return out.select_columns([id_col, text_col])
 
@@ -690,7 +699,7 @@ def fuzzy_link(
     ``threshold > 0.8``. Strings must be ≤ 64 bytes (kernel contract);
     a block holding > ``max_block_rows`` rows on either side raises
     (raise the block width for hot blocks)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     thr = float(threshold)
     if not 0.0 < thr <= 1.0:

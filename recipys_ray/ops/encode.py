@@ -147,7 +147,7 @@ def collapse_rare_categories(
     import ray
 
     from recipys_ray.kernels.grouped import _lazy_size_bytes
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     out_col = out_col or f"{cat_col}_collapsed"
     if _lazy_size_bytes(ds) is None:

@@ -31,7 +31,7 @@ def funnel(
     if not steps:
         raise ValueError("steps must be non-empty")
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def part(pdf: pd.DataFrame) -> pd.DataFrame:
         users = pd.Index(pdf[group_col].unique(), name=group_col)

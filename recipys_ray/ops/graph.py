@@ -51,7 +51,7 @@ def pagerank(
     import ray
     import ray.data as rd
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -222,7 +222,7 @@ def triangle_counts(
     import ray
     import ray.data as rd
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
     from recipys_ray.ops.join import hash_join
 
     def canon(tbl: pa.Table) -> pa.Table:

@@ -73,7 +73,7 @@ def grouped_value_counts(
 
     One combiner pass + one exchange over partial rows; the finish sums
     partials per (group, value) vectorized across all groups."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     keys = list(group_cols) + [value_col]
     parts = _counts_partial(ds, group_cols, value_col)
@@ -118,7 +118,7 @@ def top_share(
     groups in the partition."""
     from fractions import Fraction
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     frac = Fraction(top_frac).limit_denominator(1_000_000)
     num, den = frac.numerator, frac.denominator
@@ -197,7 +197,7 @@ def simpson_diversity(
     Motion: the shared exact (group, value) count combiner
     (:func:`_counts_partial`), ONE exchange of partial rows, vectorized
     finish. Output: group_cols + [d_col, n_col]."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     parts = _counts_partial(ds, gcols, value_col)
@@ -243,7 +243,7 @@ def grouped_mode(
     ORDER BY count(*) DESC, v ASC) = 1`` selects. Null values are ignored;
     a group whose values are all null emits no row (SQL inner-select
     drops it)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     out_col = out_col or value_col
     keys = list(group_cols) + [value_col]
@@ -289,7 +289,7 @@ def grouped_entropy(
     only the final per-group summation order can differ (ulp-level). The
     ``p·ln(1/p)`` form (not ``-p·ln(p)``) keeps single-value groups at
     +0.0 rather than -0.0 on both sides."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     keys = list(group_cols) + [value_col]
     parts = _counts_partial(ds, group_cols, value_col)
@@ -346,7 +346,7 @@ def grouped_corr(
     is bounded by the Σ summation-order ulp. Groups with n < 2 or zero
     variance produce IEEE ±inf/nan consistently in both engines — callers
     wanting NULLs there should filter first."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     stat_cols = ["__n__", "__sx__", "__sy__", "__sxx__", "__syy__", "__sxy__"]
@@ -435,7 +435,7 @@ def last_value_percentile(
     WHERE. ONE hash exchange of the skinny projection; last-row pick,
     comparison and fold run vectorized across all groups (offset
     indexing + bincount)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -513,7 +513,7 @@ def grouped_spearman(
     must stay under 2^53, i.e. n ≤ ~130k rows per group — the
     ``max_group_rows`` guard raises past 100k (pre-aggregate or sample
     the series first)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     cols = gcols + [x, y]
@@ -666,7 +666,7 @@ def nzv_report(
     skinny exchange on the column name co-locates each column's value
     counts, per-partition top-2/distinct/total fold — the exchange is
     bounded by value cardinality, never rows."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     cols = list(cols)
 
@@ -771,7 +771,7 @@ def grouped_ols2(
     Σ's are exact (< 2^53) and every downstream double op is a single
     IEEE kernel in both engines, so outputs are bit-equal. Collinear /
     degenerate groups yield IEEE ±inf/nan consistently."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     stat_cols = ["__n__", "__s1__", "__s2__", "__sy__", "__s11__",
@@ -884,7 +884,7 @@ def grouped_regression(
     integer-valued inputs (exact Σ's) the outputs are bit-equal across
     engines; with raw floats drift is bounded by Σ summation-order ulps.
     Zero x-variance groups yield IEEE ±inf/nan consistently."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     stat_cols = ["__n__", "__sx__", "__sy__", "__sxx__", "__syy__", "__sxy__"]
@@ -983,7 +983,7 @@ def grouped_moments(
     (emitted as NaN → Arrow null). |x|⁴·n must stay < 2^53 for exactness —
     rescale (e.g. floor to coarser units) before calling at bigger
     magnitudes."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     stat_cols = ["__n__", "__s1__", "__s2__", "__s3__", "__s4__"]
@@ -1101,7 +1101,7 @@ def transition_counts(
 
     The behavioral-data workhorse for session modeling (next-event
     prediction priors, funnel leakage, bot-loop detection)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -1180,7 +1180,7 @@ def transition_latency(
     on the group key, a vectorized sort + shift forms pairs for every
     group in the partition, per-partition (from,to) partials
     (count/sum/max) fold through a second, tiny exchange."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -1288,7 +1288,7 @@ def grouped_rate_ci(
 
     ``flag_col`` must be integer 0/1 (or boolean); null flags are
     excluded from both k and n."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
 
@@ -1380,7 +1380,7 @@ def state_ngram_counts(
 
     The session-mining workhorse (frequent path / clickstream trigram
     extraction, bot-loop detection beyond first-order Markov)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     if k < 2:
         raise ValueError("state_ngram_counts requires k >= 2")
@@ -1559,7 +1559,7 @@ def mann_kendall(
     bounded (that is the point of ``pre_sum``); a group exceeding
     ``max_group_rows`` raises with guidance rather than silently
     quadrupling task memory at scale."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     src = (
@@ -1642,7 +1642,7 @@ def theil_sen(
     indexing, no per-group Python). Same O(Σ n_g²) bound and
     ``max_group_rows`` guard — coarsen the order grain via ``pre_sum``
     at scale."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     src = (
@@ -1723,7 +1723,7 @@ def cumulative_distinct(
     every row. Zero temporal leakage by construction — row t counts only
     rows ordered ≤ t. The order tie-break must be unique per row (pass an
     id column last) for a deterministic stamp."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -1782,7 +1782,7 @@ def grouped_auc(
     finish (one sort + grouped cumsums across ALL groups per partition).
     The corpus never shuffles; the exchange carries distinct-score summary
     rows only."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     keys = gcols + [score_col]
@@ -1880,7 +1880,7 @@ def decayed_sum(
     key; per partition one stable sort, then ``horizon-1`` vectorized
     shifted adds across ALL groups (group boundaries masked by cumcount)
     — no per-group Python, no second exchange."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -1952,7 +1952,7 @@ def grouped_first_last(
     order, so the result is partition- and layout-invariant and the
     corpus never shuffles. ``order_cols`` should be unique per group
     (pass an id column last) for a deterministic answer."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -2029,7 +2029,7 @@ def grouped_weighted_stats(
     Motion: identical to :func:`grouped_corr` — per-block vectorized
     sufficient-stats partial (Σw, Σwx, Σwx² via one groupby-sum C
     kernel), ONE exchange of partial rows, vectorized finish."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     stat_cols = ["__sw__", "__swx__", "__swxx__"]
@@ -2207,7 +2207,7 @@ def cooccurrence_counts(
     Groups with more than ``max_items`` distinct items raise — a k²
     blow-up on a hot group should be an explicit modeling decision
     (bucket or cap the item vocabulary first), not a silent OOM."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def distinct_pairs(tbl: pa.Table) -> pa.Table:
         gt = tbl.schema.field(group_col).type
@@ -2299,7 +2299,7 @@ def association_rules(
     import ray
     import ray.data as rd
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     pairs = cooccurrence_counts(
         ds, group_col, item_col, max_items=max_items,
@@ -2420,7 +2420,7 @@ def state_run_stats(
     never per-group Python). Output is final per partition — groups are
     co-located, so no second fold is needed. All outputs int64-exact.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols, ocols = list(group_cols), list(order_cols)
     cols = gcols + ocols + [state_col]
@@ -2572,7 +2572,7 @@ def grouped_gini(
     yields NULL (SQL x/0.0). Overflow bound: n·Σx and Σ i·x must stay
     < 2⁶³ (int64 accumulation) — at larger per-group mass, rescale units.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     parts = _counts_partial(ds, gcols, value_col)
@@ -2643,7 +2643,7 @@ def grouped_bitops(
     partition over group-sorted values — never a per-group Python call.
     Null values are ignored (SQL aggregate semantics); an all-null group
     emits no row (the combiner drops nulls before folding)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
 
@@ -2730,7 +2730,7 @@ def two_proportion_ztest(
 
     Distributed shape: one 4-counter combiner pass, ONE skinny exchange
     on the group key, vectorized finish."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     cols = gcols + [variant_col, success_col]
@@ -2821,7 +2821,7 @@ def grouped_weighted_median(
     then a vectorized finish (grouped cumsum + keep-first — pandas C
     kernels). Weights must be non-negative integers; null values or
     weights are dropped. Overflow bound: per-group Σw < 2⁶³."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     keys = gcols + [value_col]
@@ -2912,7 +2912,7 @@ def grouped_welch_ttest(
 
     Output per group: group_cols + [n_a, n_b, t_welch, df_welch].
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     sides = {side_a: "a", side_b: "b"}
@@ -3036,7 +3036,7 @@ def expanding_mean_exclusive(
     (value and not-null count), both shifted to exclusive by subtracting
     the current row — pandas C kernels across all groups at once.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -3096,7 +3096,7 @@ def grouped_argmax(
     non-null (SQL ``ORDER BY v DESC NULLS LAST``); all-null groups are
     dropped (no arg exists).
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     tcols = list(tie_cols)
@@ -3153,7 +3153,7 @@ def group_share(
     then one grouped ``transform('sum')`` C kernel + one vectorized
     division per partition.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     icols = list(id_cols)
@@ -3202,7 +3202,7 @@ def group_seq_index(
     Order values must be unique per group for a deterministic result
     (they are event keys throughout this repo).
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -3261,7 +3261,7 @@ def windowed_distinct(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -3347,7 +3347,7 @@ def rolling_corr(
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)

@@ -40,7 +40,7 @@ def merge_intervals(
     (module docstring). Start/end may be numeric or datetime64 — ordering
     and prefix-max are dtype-generic. Rows with a null start or end are
     dropped (SQL window ordering over NULL bounds is undefined)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     cols = gcols + [start_col, end_col]
@@ -104,7 +104,7 @@ def peak_concurrency(
     WHERE. ONE hash exchange of the skinny (group, start, end)
     projection; the sweep runs vectorized across ALL groups in a
     partition (one sort + grouped cumsum/max C kernels)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     cols = gcols + [start_col, end_col]
@@ -192,7 +192,7 @@ def scd2_intervals(
     partitioning contract as every grouped kernel here: one group's rows
     fit one partition task.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)

@@ -32,12 +32,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from recipys_ray.ops.dedup import (
-    _WORD_RE,
-    drop_ids,
-    losers_from_pairs,
-    partitioned_groupby_map,
-)
+from recipys_ray.kernels.grouped import partitioned_groupby_map
+from recipys_ray.ops.dedup import _WORD_RE, drop_ids, losers_from_pairs
 
 
 class _ShingleSets:

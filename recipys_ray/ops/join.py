@@ -374,37 +374,14 @@ def _shuffle_join(left, right, left_on, right_on, how, right_suffix,
     all_types = {**{c: ltypes[c] for c in lcols},
                  **{out_names[c]: rtypes[c] for c in r_value_cols}}
 
-    from recipys_ray.kernels.grouped import exchange, stamp_union
-
-    def pad(tag: int, key_cols, rename: dict):
-        def fn(tbl: pa.Table) -> pa.Table:
-            pdf = tbl.select(key_cols).to_pandas()
-            pdf.columns = left_on  # hash identically on both sides
-            h = pd.util.hash_pandas_object(pdf, index=False).to_numpy()
-            part = (h % np.uint64(num_partitions)).astype(np.int32)
-            if rename:
-                tbl = tbl.rename_columns(
-                    [rename.get(c, c) for c in tbl.column_names]
-                )
-            for c in all_cols:
-                if c not in tbl.column_names:
-                    tbl = tbl.append_column(
-                        c, pa.nulls(len(tbl), all_types[c])
-                    )
-            tbl = tbl.select(all_cols)
-            tbl = tbl.append_column(
-                "__join_src__", pa.array(np.full(len(tbl), tag, np.int8))
-            )
-            return tbl.append_column("__join_part__", pa.array(part))
-
-        return fn
+    from recipys_ray.kernels.grouped import PART, SRC, exchange, stamp_union
 
     # the right key columns ride along under the LEFT key names so the
     # in-partition merge is a plain same-name merge
     r_rename = {**dict(zip(right_on, left_on)), **out_names}
     combined, blocks = stamp_union(
-        [(left, pad(0, left_on, {})), (right, pad(1, right_on, r_rename))],
-        num_partitions,
+        [(left, left_on, {}), (right, right_on, r_rename)], all_cols,
+        all_types, num_partitions,
     )
 
     out_schema = pa.schema([(c, all_types[c]) for c in all_cols])
@@ -416,7 +393,7 @@ def _shuffle_join(left, right, left_on, right_on, how, right_suffix,
         # output dtype — the driver's value hash is dtype-sensitive.
         import pyarrow.compute as pc
 
-        src = tbl.column("__join_src__")
+        src = tbl.column(SRC)
         lf = tbl.filter(pc.equal(src, 0)).select(lcols).to_pandas()
         if len(lf) == 0 and how != "outer":
             return out_schema.empty_table()
@@ -456,5 +433,5 @@ def _shuffle_join(left, right, left_on, right_on, how, right_suffix,
         )
 
     return exchange(
-        combined, "__join_part__", join_partition, num_partitions, blocks
+        combined, PART, join_partition, num_partitions, blocks
     )

@@ -109,7 +109,7 @@ def benford_counts(
         out[cnt_col] = out[cnt_col].astype(np.int64)
         return out
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     return partitioned_groupby_map(parts, [digit_col], finish)
 
@@ -133,7 +133,7 @@ def null_patterns(
     """
     if not cols:
         raise ValueError("cols must be non-empty")
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     flags = [f"{c}_null" for c in cols]
 

@@ -129,7 +129,7 @@ def quality_checks(ds, checks: list[dict]) -> pd.DataFrame:
                 ),
             })
 
-        from recipys_ray.ops.dedup import partitioned_groupby_map
+        from recipys_ray.kernels.grouped import partitioned_groupby_map
 
         parts = ds.select_columns([col]).map_batches(
             shrink, batch_format="pyarrow"

@@ -300,7 +300,7 @@ def group_quantiles(
         raise ValueError("out_names must be unique and align with qs")
     group_cols = [group_cols] if isinstance(group_cols, str) else list(group_cols)
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     proj = ds.select_columns(group_cols + [value_col])
 
@@ -415,7 +415,7 @@ def histogram(
         out[cnt_col] = out[cnt_col].astype(np.int64)
         return out[[bucket_col, edge_col, cnt_col]]
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     return partitioned_groupby_map(parts, [bucket_col], finish)
 
@@ -517,7 +517,7 @@ def grouped_robust_zscore(
     groups at once) and a broadcast-free stamp. Output: id_cols +
     [score_col, flag_col]. Same partitioning contract as every grouped
     kernel here: one group's rows fit one partition task."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = [group_cols] if isinstance(group_cols, str) else list(group_cols)
     icols = list(id_cols)
@@ -634,7 +634,7 @@ def grouped_winsorize(
         raise ValueError(
             f"need 0 < lower_q <= upper_q <= 1, got {lower_q}, {upper_q}"
         )
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = [group_cols] if isinstance(group_cols, str) else list(group_cols)
     icols = list(id_cols)
@@ -746,7 +746,7 @@ def grouped_histogram(
         out[cnt_col] = out[cnt_col].astype(np.int64)
         return out[gcols + [bucket_col, edge_col, cnt_col]]
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     return partitioned_groupby_map(
         parts, gcols, finish, num_partitions=num_partitions
@@ -784,7 +784,7 @@ def quantile_normalize(
     value. Null values rank last (inherited from both rank kernels) —
     feed non-null integer values (cents) for the exactness contract.
     Overflow bound: i·N < 2⁶³."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
     from recipys_ray.ops.join import hash_join
     from recipys_ray.ops.rank import add_global_rank
 

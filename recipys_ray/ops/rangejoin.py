@@ -34,6 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from recipys_ray.kernels.grouped import SRC
 from recipys_ray.ops.join import _pa_type
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -145,41 +146,21 @@ def _co_shuffle(left, right, by, on, right_on, all_cols, all_types,
     """Stamp hash(by)%P on both sides, pad to the common schema, union and
     run ``partition_fn`` per co-partition — the single all-to-all exchange
     both range ops ride."""
-    from recipys_ray.kernels.grouped import exchange, stamp_union
+    from recipys_ray.kernels.grouped import PART, exchange, stamp_union
 
     if num_partitions is None:
         from recipys_ray.kernels.grouped import choose_partitions
 
         num_partitions = choose_partitions(left)
 
-    def pad(tag: int, rename: dict):
-        def fn(tbl: pa.Table) -> pa.Table:
-            if rename:
-                tbl = tbl.rename_columns(
-                    [rename.get(c, c) for c in tbl.column_names]
-                )
-            pdf = tbl.select(by).to_pandas()
-            h = pd.util.hash_pandas_object(pdf, index=False).to_numpy()
-            part = (h % np.uint64(num_partitions)).astype(np.int32)
-            for c in all_cols:
-                if c not in tbl.column_names:
-                    tbl = tbl.append_column(c, pa.nulls(len(tbl), all_types[c]))
-            tbl = tbl.select(all_cols)
-            tbl = tbl.append_column(
-                "__rj_src__", pa.array(np.full(len(tbl), tag, np.int8))
-            )
-            return tbl.append_column("__rj_part__", pa.array(part))
-
-        return fn
-
     r_rename = {right_on: on, **out_names}
     if right_on == on:
         r_rename.pop(right_on)
     combined, blocks = stamp_union(
-        [(left, pad(0, {})), (right, pad(1, r_rename))], num_partitions
+        [(left, by, {}), (right, by, r_rename)], all_cols, all_types,
+        num_partitions,
     )
-    return exchange(combined, "__rj_part__", partition_fn, num_partitions,
-                    blocks)
+    return exchange(combined, PART, partition_fn, num_partitions, blocks)
 
 
 def range_join(
@@ -212,7 +193,7 @@ def range_join(
         # split sides while still Arrow — converting the unioned partition
         # to pandas would float64-poison null-padded int columns (the
         # shuffle-join dtype lesson, ops/join.py join_partition)
-        src = tbl.column("__rj_src__")
+        src = tbl.column(SRC)
         lf = tbl.filter(pc.equal(src, 0)).select(lcols).to_pandas()
         if len(lf) == 0:
             return out_schema.empty_table()
@@ -306,7 +287,7 @@ def range_agg(
 
     right = right.select_columns(by + [right_on] + need_cols)
     def agg_partition(tbl: pa.Table) -> pa.Table:
-        src = tbl.column("__rj_src__")
+        src = tbl.column(SRC)
         lf = tbl.filter(pc.equal(src, 0)).select(lcols).to_pandas()
         if len(lf) == 0:
             return out_schema.empty_table()

@@ -55,7 +55,12 @@ def add_global_rank(
     produced — no extra pass. ``keep_rank=False`` drops the rank column
     (bucket-only output)."""
     tie_cols = list(tie_cols or [])
-    from recipys_ray.kernels.grouped import _lazy_size_bytes, choose_partitions
+    from recipys_ray.kernels.grouped import (
+        _lazy_size_bytes,
+        choose_partitions,
+        exchange,
+        plan_exchange,
+    )
 
     # three passes over ds (boundary sample, range counts, stamp+shuffle):
     # pin DERIVED inputs once so the upstream pipeline doesn't re-execute
@@ -105,8 +110,6 @@ def add_global_rank(
         # nulls rank last: route them to the final range
         r = np.where(pd.isna(v), len(bounds), r).astype(np.int32)
         return tbl.append_column(_RANGE, pa.array(r))
-
-    stamped = ds.map_batches(stamp, batch_format="pyarrow")
 
     # ---- pass 3a: per-range counts → prefix offsets ------------------- #
     # SKINNY pass: project the order column at the read and re-derive the
@@ -167,9 +170,12 @@ def add_global_rank(
             tbl = tbl.append_column(ntile_col, pa.array(bucket))
         return tbl
 
-    return stamped.groupby(_RANGE).map_groups(
-        rank_partition, batch_format="pyarrow"
+    n_ranges = len(bounds) + 1
+    plan = plan_exchange(ds, n_ranges)
+    stamped = ds.map_batches(
+        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
     )
+    return exchange(stamped, _RANGE, rank_partition, n_ranges, plan.blocks)
 
 
 def add_ntile(

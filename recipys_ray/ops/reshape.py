@@ -76,7 +76,7 @@ def pivot(
     if collide:
         raise ValueError(f"pivot keys collide with index columns: {collide}")
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     proj = ds.select_columns(index_cols + [key_col, value_col])
 
@@ -166,7 +166,7 @@ def group_concat(
     )
     sort_cols = [sort_cols] if isinstance(sort_cols, str) else list(sort_cols)
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     proj = ds.select_columns(group_cols + sort_cols + [value_col])
 

@@ -152,7 +152,7 @@ def rollup_aggregate(
             arrs[sn] = _sum_array(out[sn], sum_int[c])
         return pa.table(arrs)
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     partials = ds.map_batches(
         partial, batch_format="pyarrow", batch_size=262_144

@@ -98,7 +98,7 @@ def segment_dedup(
     (Wenzek et al. 2020) — keep the first occurrence, drop repeats.
     """
     from recipys_ray.kernels.grouped import choose_partitions
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     # segments carry ~the same total bytes as the input docs — size both
     # payload exchanges from the readable input, not the derived stream

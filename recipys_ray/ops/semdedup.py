@@ -18,7 +18,7 @@ yields the same dedup power):
    donor-order lesson).
 2. **Assign** — one streaming ``map_batches`` pass stamps each row's
    nearest-centroid cell (vectorized float64 matmul, broadcast centroids).
-3. **Dedup** — ``groupby(cell).map_groups``: members sorted by id, then a
+3. **Dedup** — one exchange on the cell id: members sorted by id, then a
    greedy keep-first scan — an item is dropped iff its cosine similarity
    to some already-KEPT earlier-id item in the same cluster is
    ``>= threshold``. Kept rows pass through with all their columns.
@@ -101,7 +101,11 @@ def semantic_dedup(
 ):
     """SemDeDup (module docstring): returns the survivor Dataset (all
     original columns, helper cell column dropped)."""
-    from recipys_ray.kernels.grouped import cheap_count
+    from recipys_ray.kernels.grouped import (
+        cheap_count,
+        exchange,
+        plan_exchange,
+    )
 
     n_rows = cheap_count(ds)  # parquet metadata answers without a pass
     if n_rows > sample_size:
@@ -120,8 +124,10 @@ def semantic_dedup(
     k = min(n_clusters, len(X))
     C = _kmeans_fit(_normalize(X), k, seed=seed)
 
+    plan = plan_exchange(ds, k)
     stamped = ds.map_batches(
-        _CellStamp(C, emb_col), batch_format="pyarrow"
+        _CellStamp(C, emb_col), batch_format="pyarrow",
+        batch_size=plan.stamp_rows if plan.blocks else None,
     )
 
     def dedup_cell(tbl: pa.Table, _emb=emb_col, _id=id_col,
@@ -136,6 +142,4 @@ def semantic_dedup(
         keep = greedy_keep_mask(_normalize(emb), _thr, block=_blk)
         return tbl.filter(pa.array(keep)).drop_columns([_CELL])
 
-    return stamped.groupby(_CELL).map_groups(
-        dedup_cell, batch_format="pyarrow"
-    )
+    return exchange(stamped, _CELL, dedup_cell, k, plan.blocks)

@@ -48,7 +48,7 @@ def except_distinct(left, right, cols: list[str],
     Motion: one tagged union + ONE hash exchange on the full row; each
     partition resolves membership for all of its rows with two
     drop_duplicates and one indicator merge (C kernels)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     cols = list(cols)
 
@@ -69,7 +69,7 @@ def intersect_distinct(left, right, cols: list[str],
     """SQL ``INTERSECT``: the DISTINCT rows present in BOTH
     ``left[cols]`` and ``right[cols]``. Same plan and NULL semantics as
     :func:`except_distinct`."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     cols = list(cols)
 
@@ -102,7 +102,7 @@ def table_diff(left, right, key_cols: list[str],
 
     Motion: tagged union of the projected sides, ONE hash exchange on
     the key, one vectorized outer merge per partition."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     kcols = list(key_cols)
     ccols = list(compare_cols)

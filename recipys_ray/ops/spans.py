@@ -90,7 +90,7 @@ def duplicate_spans(
         extract, batch_format="pyarrow", batch_size=batch_size
     )
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def finish(pdf: pd.DataFrame) -> pd.DataFrame:
         n_docs = pdf.groupby("span", sort=False)[id_col].transform("nunique")

@@ -447,7 +447,7 @@ def build_vocab(
         partial, batch_format="pyarrow", batch_size=4096
     )
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def local_topk(pdf: pd.DataFrame) -> pd.DataFrame:
         tot = pdf.groupby("token", sort=False, observed=True).agg(
@@ -464,8 +464,10 @@ def build_vocab(
         partials, ["token"], local_topk, num_partitions
     ).to_pandas()
     if not len(cand) and "count" not in cand.columns:
-        # all-empty partitions yield a COLUMN-LESS frame (the zero-row
-        # map_groups quirk) — restore the planned schema
+        # a zero-row result comes back COLUMN-LESS: Ray's to_pandas builds
+        # its frame from iter_batches, which yields nothing for zero-row
+        # blocks (and all-filtered input runs no kernel) — restore the
+        # planned schema
         cand = pd.DataFrame({
             "token": pd.Series(dtype=object),
             "count": pd.Series(dtype=np.int64),
@@ -1641,7 +1643,7 @@ def source_similarity(
     group_b, only pairs sharing ≥ 1 token — SQL inner join), n_common,
     jaccard.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def pairs(tbl: pa.Table) -> pa.Table:
         words, counts = word_stream(tbl.column(text_col))
@@ -1735,7 +1737,7 @@ def top_tokens_per_source(
     exactly one partition. Output: group_col, token, cnt (int64), rnk
     (1-based int64).
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def partial(tbl: pa.Table) -> pa.Table:
         words, counts = word_stream(tbl.column(text_col))

@@ -49,7 +49,7 @@ def ohlc_bars(
     open/close. Null values: rows with a null ``value_col`` are excluded
     entirely (SQL min/max/count(v) ignore NULL; pair with a not-null
     filter if first/last NULL positional semantics are wanted)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -139,7 +139,7 @@ def grouped_autocorr(
     forms the pairs, and the sufficient-stats fold + closed form finish
     per group locally — no second exchange, the partition already holds
     every row of its groups."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -222,7 +222,7 @@ def grouped_cusum(
     sequence; a single stable sort + grouped cumsum/cumcount/transform
     (pandas C kernels across ALL groups) + one grouped max finishes per
     partition — no second exchange."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -288,7 +288,7 @@ def churn_labels(
     modeling decision to mask). Block-local distinct collapse, ONE
     skinny exchange on the group key, vectorized shift across all
     groups."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     cols = gcols + [day_col]
@@ -354,7 +354,7 @@ def burst_counts(
     ``order_cols`` must make the within-group order total. ONE hash
     exchange of the skinny projection; the windowed sums come from
     grouped prefix-sum differences — vectorized across all groups."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -424,7 +424,7 @@ def longest_streak(
     projection (per-block dedupe first, so the exchange moves at most
     one row per (group, day) per block); sort + cumcount + groupby-size
     run vectorized across all groups in the partition."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     cols = gcols + [day_col]
@@ -499,7 +499,7 @@ def max_drawdown(
     ONE hash exchange of the skinny projection; the peak scan is a
     grouped transform('max') + cummax + max — vectorized across all
     groups in the partition."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     cols = gcols + [order_col, value_col]
@@ -564,7 +564,7 @@ def sequence_integrity(
     Motion: ONE skinny exchange ((group, order, state)) co-locates each
     sequence; one stable sort + grouped ``shift`` + two vectorized
     comparisons + one groupby-sum finish per partition."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -630,7 +630,7 @@ def budget_prefix(
     contract as every grouped kernel here: one group's rows fit one
     partition task.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -674,7 +674,7 @@ def debounce_events(
     all groups at once. The kept row keeps every input column plus the
     int64 ``bucket_col``.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)
@@ -727,7 +727,7 @@ def time_weighted_avg(
     Motion: ONE skinny exchange ((group, ts, order, value)) co-locates
     each entity's history; per partition one stable sort + grouped
     ``shift(-1)`` + segment sums — pandas C kernels across all groups."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     gcols = list(group_cols)
     ocols = list(order_cols)

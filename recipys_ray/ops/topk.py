@@ -70,7 +70,7 @@ def top_k_per_group(
             with_rank=True,
         )
 
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     partials = ds.map_batches(
         combine, batch_format="pyarrow", batch_size=262_144

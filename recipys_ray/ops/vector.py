@@ -126,7 +126,7 @@ def grouped_mean_pool(
     Long format keeps the exchange schema flat (no list columns) and is
     what a downstream broadcast join consumes directly.
     """
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     parts = _centroid_partials(ds, group_cols, vec_col, scale)
     keys = list(group_cols) + ["dim"]

@@ -275,7 +275,7 @@ def q_session_stats(sf_dir):
     count, events, longest session) — the transcript-ops shape `how many
     sessions does each user have and how long is the longest`. Outputs are
     integers, so the hash check is exact end-to-end."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     rec = _recipe(_events(sf_dir), predictors=("value",))
     rec.add_step(rr.StepSessionize(gap="30m"))
@@ -2048,7 +2048,7 @@ def q_interarrival(sf_dir):
     transcript/behavioral data. ONE skinny exchange on user_id; gaps are
     exact int64 µs so max/p50 (quantile_disc) are integers and avg is one
     IEEE division of exact ints."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -2252,7 +2252,7 @@ def q_revenue_by_nation(sf_dir):
     BIGINT SQL oracle matches bit-for-bit. int64 headroom: ≤1e9/row leaves
     ~9e6 rows per nation before overflow at this scale; larger runs shard
     the key first (same pattern as the salted kernels)."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
     from recipys_ray.ops.join import hash_join
 
     li = rd.read_parquet(
@@ -2325,7 +2325,7 @@ def q_rfm_segments(sf_dir):
     #users-row aggregate, pinned once). Monetary sums exact int cents
     (float64-exact, < 2^53); ntile order is (metric, user_id) in both
     engines, so every bucket boundary is deterministic."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
     from recipys_ray.ops.rank import add_ntile
 
     ds = rd.read_parquet(
@@ -2692,7 +2692,7 @@ def q_outer_join_counts(sf_dir):
     native groupby().sum() is a full SORT shuffle and cost 4× the wall
     here), unmatched keys on EACH side survive with int64 nulls
     preserved by the planned Arrow schema."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
     from recipys_ray.ops.join import hash_join
 
     def counts(path, key, ncol, rename_to):
@@ -2909,7 +2909,7 @@ def q_grouped_percent_rank(sf_dir):
     exchange on user_id; pandas C rank kernel across all groups):
     (rank−1)/(n−1) over exact ints — one IEEE division, bit-equal to
     the SQL window. Ties share the min rank (SQL rank())."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     ds = _events(sf_dir)
 
@@ -4361,7 +4361,7 @@ def q_winsorized_mean(sf_dir):
         })
 
     parts = clipped.map_batches(partial, batch_format="pyarrow")
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
 
     def finish(pdf: pd.DataFrame) -> pd.DataFrame:
         agg = pdf.groupby("user_id", sort=False)[["s", "c"]].sum()
@@ -4610,7 +4610,7 @@ def q_triangle_parts(sf_dir):
     oracle cheap; co-order pair edges come from ONE exchange on the
     order key with the shared vectorized pair expansion. Exact integer
     counts end-to-end."""
-    from recipys_ray.ops.dedup import partitioned_groupby_map
+    from recipys_ray.kernels.grouped import partitioned_groupby_map
     from recipys_ray.ops.graph import triangle_counts
     from recipys_ray.ops.groupstats import _group_pairs
 

@@ -56,14 +56,17 @@ class StepActorPool(Step):
         return "actor"
 
     def apply(self, ds):
-        """Planner hook: emit this step as its own actor-pool stage."""
+        """Planner hook: emit this step as its own actor-pool stage, sized by
+        :func:`~recipys_ray.kernels.grouped.actor_pool_args` so the pool
+        can start on the session's CPUs."""
+        from recipys_ray.kernels.grouped import actor_pool_args
+
         return ds.map_batches(
             self.transformer_cls,
             fn_constructor_kwargs=self.fn_constructor_kwargs,
             batch_format=self.batch_format,
             batch_size=self.batch_size,
-            concurrency=self.concurrency,
-            num_cpus=self.num_cpus,
+            **{"num_cpus": self.num_cpus, **actor_pool_args(self.concurrency)},
         )
 
     def schema_delta(self, ing: Ingredients) -> dict[str, pa.DataType]:

@@ -8,6 +8,6 @@ echo "== pytest =="
 python -m pytest tests/ -x -q
 echo "== driver contract (strict: emulates the driver's value hash) =="
 python scripts/check_contract.py --strict "$SF"
-echo "== bench smoke (flagship only) =="
-BENCH_SKIP_QUERIES=1 python bench.py
+echo "== benchmark self-tests =="
+python3 -m pytest perfbench -q
 echo "ALL GREEN"

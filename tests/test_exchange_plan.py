@@ -1,6 +1,10 @@
-"""Plan shape of the sort exchange: stamp sizing and reducer layout."""
+"""Plan shape of the sort exchange: stamp sizing and reducer layout, and
+the seam itself: every stamp and shuffle of the library goes through
+kernels/grouped.py."""
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pandas as pd
@@ -8,7 +12,11 @@ import pyarrow as pa
 import ray.data as rd
 
 from recipys_ray.kernels.grouped import (
+    PART,
+    SRC,
+    STAMP_ROWS,
     exchange,
+    hash_part,
     plan_exchange,
     stamp_block_rows,
     stamp_union,
@@ -32,8 +40,7 @@ def test_large_box_keeps_sixteen_blocks():
 
 
 def test_unknown_rows_keep_requested_batch():
-    assert stamp_block_rows(None, 2) == 262_144
-    assert stamp_block_rows(None, 2, requested=50_000) == 50_000
+    assert stamp_block_rows(None, 2) == STAMP_ROWS == 262_144
 
 
 def test_blocks_never_exceed_partitions():
@@ -66,10 +73,84 @@ def _stamp(p):
 def test_union_exchange_materializes_at_most_p_blocks(ray_session):
     p = 4
     left = rd.from_pandas(pd.DataFrame({"k": np.arange(70_000)}))
-    right = rd.from_pandas(pd.DataFrame({"k": np.arange(30_000)}))
-    combined, planned = stamp_union([(left, _stamp(p)), (right, _stamp(p))], p)
+    right = rd.from_pandas(pd.DataFrame({"j": np.arange(30_000)}))
+    combined, planned = stamp_union(
+        [(left, ["k"], {}), (right, ["j"], {"j": "k"})], ["k", "v"],
+        {"k": pa.int64(), "v": pa.float64()}, p,
+    )
     assert planned <= p
-    assert combined.materialize().num_blocks() <= p
+    out = combined.materialize()
+    assert out.num_blocks() <= p
+    got = out.to_pandas()
+    # padded to the common schema, tagged by side, stamped on the key
+    assert list(got.columns) == ["k", "v", SRC, PART]
+    assert got["v"].isna().all()
+    assert (got[SRC] == 0).sum() == 70_000 and (got[SRC] == 1).sum() == 30_000
+    want = hash_part(got[["k"]], ["k"], p)
+    np.testing.assert_array_equal(got[PART].to_numpy(), want)
+
+
+def test_hash_part_is_the_pandas_stable_hash():
+    """Partition ids, resume buckets and join co-partitioning all depend on
+    this exact function: hash_pandas_object of the key values mod P."""
+    pdf = pd.DataFrame({
+        "a": [1, 2, None, 4, 5], "b": ["x", None, "z", "x", "y"],
+    })
+    tbl = pa.Table.from_pandas(pdf, preserve_index=False)
+    for cols, p in [(["a"], 7), (["b"], 3), (["a", "b"], 256)]:
+        h = pd.util.hash_pandas_object(pdf[cols], index=False).to_numpy()
+        want = (h % np.uint64(p)).astype(np.int32)
+        np.testing.assert_array_equal(hash_part(tbl, cols, p), want)
+        np.testing.assert_array_equal(hash_part(pdf, cols, p), want)
+    # names don't enter the hash: a join's right key renamed to the left
+    # name lands in the same partition as before the rename
+    right = tbl.rename_columns(["l", "r"])
+    np.testing.assert_array_equal(
+        hash_part(right, ["l", "r"], 11), hash_part(tbl, ["a", "b"], 11)
+    )
+    assert hash_part(tbl, [], 4).tolist() == [0] * 5
+
+
+SEAM = pathlib.Path("recipys_ray/kernels/grouped.py")
+# hash_pandas_object uses that are not partition stamps
+NOT_STAMPS = {(pathlib.Path("recipys_ray/transformers.py"), "thin")}
+
+
+def _calls(path: pathlib.Path, attr: str):
+    """(enclosing function name, line) of every ``….attr(`` call."""
+    tree = ast.parse(path.read_text())
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr):
+            found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_stamp_and_shuffle_goes_through_the_seam():
+    """Only kernels/grouped.py stamps hash partitions or co-locates them;
+    a second shuffle path (``groupby().map_groups`` or a copied
+    ``hash_pandas_object(...) % P`` stamp) fails here, not in a benchmark."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    strays = []
+    for path in sorted((root / "recipys_ray").rglob("*.py")):
+        rel = path.relative_to(root)
+        if rel == SEAM:
+            continue
+        strays += [f"{rel}:{ln} map_groups in {fn}"
+                   for fn, ln in _calls(path, "map_groups")]
+        strays += [f"{rel}:{ln} hash_pandas_object in {fn}"
+                   for fn, ln in _calls(path, "hash_pandas_object")
+                   if (rel, fn) not in NOT_STAMPS]
+    assert not strays, "\n".join(strays)
+    assert _calls(root / SEAM, "hash_pandas_object")
 
 
 def test_exchange_gives_each_reducer_whole_partitions(ray_session):

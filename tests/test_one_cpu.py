@@ -87,3 +87,32 @@ def test_actor_pool_queries_finish_on_one_cpu():
     assert r.returncode == 0, r.stderr[-3000:]
     done = [l.split()[1] for l in r.stdout.splitlines() if l.startswith("DONE")]
     assert done == ["text_stats", "langid_quality", "decontaminate", "knn_ivf"]
+
+
+def test_actor_pool_step_finishes_on_one_cpu():
+    """A recipe's StepActorPool asks for two one-CPU actors by default. On
+    one CPU, with read tasks upstream that need the CPU too, the pool is
+    sized down and the recipe runs instead of waiting forever."""
+    r = run_one_cpu("""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import ray.data as rd
+        from recipys_ray import Recipe, StepActorPool
+
+        class Double:
+            def __call__(self, tbl):
+                return tbl.append_column(
+                    "x2", pc.multiply(tbl.column("x").cast("double"), 2.0))
+
+        def columns(tbl):
+            ids = tbl.column("id")
+            return pa.table({"g": pc.divide(ids, 10), "x": ids})
+
+        ds = rd.range(1000, override_num_blocks=4).map_batches(
+            columns, batch_format="pyarrow")
+        rec = Recipe(ds, predictors=["x"], groups=["g"])
+        rec.add_step(StepActorPool(Double, new_columns={"x2": pa.float64()}))
+        print("X2", rec.prep().to_pandas()["x2"].sum())
+    """, timeout=120)
+    assert r.returncode == 0, r.stderr[-3000:]
+    assert "X2 999000.0" in r.stdout

@@ -299,8 +299,9 @@ class TestSeventhSessionOpsProperty:
         df = triangle_counts(
             rd.from_pandas(pdf).repartition(3), "src", "dst"
         ).to_pandas()
-        # all-empty partitions yield a column-less frame (the zero-row
-        # map_groups quirk, ROUND5_NOTES.md) — guard like fuzzy_link
+        # a zero-row result is column-less after to_pandas (Ray builds the
+        # frame from iter_batches, which yields nothing for zero-row
+        # blocks) — guard like fuzzy_link
         out = (
             df.set_index("node")["tri_count"].to_dict() if len(df) else {}
         )
