@@ -10,6 +10,8 @@ through these entry points (``tests/test_exchange_plan.py`` fails on a
 - :func:`plan_exchange` — partition count, stamp batch rows and planned
   stamp blocks from plan metadata. Used by every exchange below and by
   ``Recipe.explain()``.
+- :func:`size_pin` — the block count of a recipe's fit pin, from the same
+  cluster CPU count as the partition count (``Recipe.prep()``).
 - :func:`stamp_union` — the padded, tagged, stamped union of the sides of
   a co-partitioned exchange: ``hash_join`` (ops/join.py), ``asof_join``
   (ops/asof.py), ``range_join``/``range_agg`` (ops/rangejoin.py) and the
@@ -153,6 +155,32 @@ def choose_partitions(
     if not nbytes:
         return lo
     return int(np.clip(-(-nbytes // target_partition_bytes), lo, max(lo, hi)))
+
+
+def pin_blocks(size_bytes: int) -> int:
+    """Most blocks a recipe's fit pin keeps: max(2 × cluster CPUs,
+    ⌈size_bytes / Ray's ``target_max_block_size``⌉)."""
+    from ray.data import DataContext
+
+    block_bytes = DataContext.get_current().target_max_block_size
+    by_size = -(-size_bytes // block_bytes) if block_bytes else 1
+    return max(2 * _cluster_cpus(), by_size)
+
+
+def size_pin(pinned):
+    """Coalesce a materialized dataset (a recipe's fit pin) to at most
+    :func:`pin_blocks` blocks; a pin within the bound is returned as is.
+
+    A pin keeps its upstream's block layout (8 parquet files read as 24
+    blocks), and every pass over it — each fit's stats pass and the
+    transform after it — pays a per-block task floor (BASELINE.md "Fit
+    flush"). ``repartition(n)`` without a shuffle splits and joins blocks
+    in order, so row order, and with it every ordered fit, is kept. The
+    unsized pin is dropped once the sized one is built."""
+    target = pin_blocks(pinned.size_bytes())
+    if pinned.num_blocks() <= target:
+        return pinned
+    return pinned.repartition(target).materialize()
 
 
 def _meta_rows(ds) -> Optional[int]:

@@ -311,7 +311,7 @@ def q_scale_standard(sf_dir):
     """duckdb_parity_stats: fit mean/std accumulate exactly like DuckDB's
     avg()/stddev_pop() (sequential scan-order + Welford) so boundary-sitting
     values round identically at every sf — the production default keeps
-    distributed longdouble partials."""
+    distributed per-block float64 partial sums."""
     rec = _recipe(_with_valn(_events(sf_dir)))
     rec.add_step(rr.StepScale(sel=all_of(["valn"]), duckdb_parity_stats=True))
     return _select(rec.prep(), ["event_id", "valn"])

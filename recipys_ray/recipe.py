@@ -9,10 +9,15 @@ with a physical planner designed for Ray Data's streaming executor:
   (group, sequence) key fuse into ONE hash-partition + sorted-scan shuffle
   (kernels/grouped.py) — the flagship pipeline (ffill → historical × k →
   lag → sessionize) costs a single all-to-all exchange.
-- A step that **requires fit** forces a flush; the current dataset is
-  materialized once (so the fit aggregate and downstream transforms don't
-  recompute the upstream pipeline), the small fitted state is computed via a
-  streaming partial-aggregate pass, and execution continues lazily.
+- Fitted steps fit in **groups that share one pin**. The first fit of a
+  group flushes the pipeline and materializes it once (so the fit
+  aggregates and the downstream transform don't recompute the upstream),
+  coalesced to at most max(2 × CPUs, bytes / Ray block size) blocks
+  (kernels/grouped.py ``size_pin``). A later fit reads the same pin while
+  every step queued since is a row- and order-preserving batch step that
+  writes none of the columns it fits on (:func:`shares_pin`); its
+  transform joins the pending fused chain. Each fit is a streaming
+  partial-aggregate pass over the pin, and execution continues lazily.
 
 ``prep()`` fits-and-transforms; ``bake()`` transforms with previously fitted
 state (fitting silently on first call, matching reference recipe.py:174-177).
@@ -31,7 +36,7 @@ from typing import Optional, Union
 import pyarrow as pa
 
 from recipys_ray.ingredients import Ingredients
-from recipys_ray.kernels.grouped import run_grouped_chain
+from recipys_ray.kernels.grouped import run_grouped_chain, size_pin
 from recipys_ray.steps.base import Step
 
 
@@ -45,6 +50,24 @@ class _BatchChain:
         for s in self.steps:
             tbl = s.transform_batch(tbl)
         return tbl
+
+
+def shares_pin(queued: list[Step], fitted: Step) -> bool:
+    """Whether ``fitted`` can fit from the current pin although ``queued``
+    (the steps since the pin, not yet applied) have run: every queued step
+    is a row- and order-preserving batch step, and none writes a column the
+    fit reads. The fit then sees exactly the rows, in the order, and the
+    values of its inputs that it would see after a fresh flush. The one
+    rule of both ``Recipe._run`` and ``Recipe.explain()``."""
+    reads = set(fitted.columns)
+    return all(
+        s.kind == "batch"
+        and s.keeps_rows
+        and not s.changes_rowcount
+        and not s.frame_needs_all
+        and reads.isdisjoint(s.frame_outputs())
+        for s in queued
+    )
 
 
 class Recipe:
@@ -65,9 +88,11 @@ class Recipe:
         """``materialize_before_fit`` controls how the pipeline-so-far is
         pinned before a fitted step's aggregate pass(es):
 
-        - True / "memory": ``ds.materialize()`` — fastest single-node, but
-          pins the WHOLE dataset in the object store once per fit flush
-          (at 100 TB that spills everything through the object store).
+        - True / "memory": ``ds.materialize()``, coalesced to at most
+          max(2 × CPUs, bytes / Ray block size) blocks — fastest
+          single-node, but pins the WHOLE dataset in the object store once
+          per fit group (at 100 TB that spills everything through the
+          object store).
         - "disk": checkpoint to parquet under ``$RECIPYS_CKPT_DIR`` (default
           /tmp/recipys_ckpt) and re-read — one streaming execution, bounded
           memory, each fit pass re-reads the compressed artifact; the right
@@ -170,121 +195,77 @@ class Recipe:
         ds.write_parquet(path)
         return rd.read_parquet(path)
 
-    def _run(self, ing: Ingredients, refit: bool):
-        ds = ing.dataset
+    def _pin(self, ds):
+        """Pin the pipeline so far for a fit group (``materialize_before_fit``)."""
+        mbf = self.materialize_before_fit
+        if mbf in (True, "memory"):
+            return size_pin(ds.materialize())
+        if mbf == "disk":
+            return self._disk_checkpoint(ds)
+        return ds
+
+    def _walk(self, ing: Ingredients, refit: bool, dry: bool = False):
+        """The planner walk behind both ``_run`` and ``explain()``, so the
+        run and the plan cannot drift. Resolves and expands the steps in
+        order and yields the physical events:
+
+        - ``("stage", steps, mode, chain_key)``: one fused ``map_batches``
+          chain (mode "batch") or one grouped shuffle over ``steps``;
+        - ``("pin", step, n)``: pin the pipeline so far as pin #n, then fit
+          ``step`` on it;
+        - ``("shared", step, n)``: fit ``step`` on pin #n as it stands — the
+          steps queued since are applied later, in the same chain
+          (:func:`shares_pin`);
+        - ``("actor", step)``: an actor-pool stage.
+
+        The consumer fits a step when its event arrives; the walk resolves
+        the next step only afterwards, against the schema that fit set.
+        ``dry`` (explain) leaves resolution-only steps untrained.
+        """
         pending: list[Step] = []
         mode: Optional[str] = None
         chain_key = None
-        pinned = False  # ds already materialized/checkpointed, no ops since
+        pins = 0
+        # pin #pins is the current data: no stage has run on it since, only
+        # `pending` is queued
+        pinned = False
 
-        def flush():
-            nonlocal ds, pending, mode, chain_key, pinned
+        def flush() -> list:
+            nonlocal pending, mode, chain_key, pinned
             if not pending:
-                return
-            pinned = False
-            if mode == "batch":
-                ds = ds.map_batches(
-                    _BatchChain(list(pending)), batch_format="pyarrow"
-                )
-            else:
-                group_cols, sort_cols = chain_key
-                clean_tail = not any(
-                    s.frame_needs_all or s.changes_rowcount
-                    for s in pending[1:]
-                )
-                grid_head = (
-                    getattr(pending[0], "salt_grid_capable", False)
-                    and clean_tail
-                )
-                saltable = (
-                    self.salt is not None
-                    and group_cols
-                    and sort_cols
-                    and (
-                        not any(
-                            s.frame_needs_all or s.changes_rowcount
-                            for s in pending
-                        )
-                        or grid_head
-                    )
-                )
-                if saltable:
-                    from recipys_ray.kernels.grouped import choose_partitions
-                    from recipys_ray.kernels.salted import run_salted_chain
-
-                    # run_salted_chain owns the grid-head policy: a
-                    # resample head with an all-chunk-mergeable tail runs
-                    # the FUSED single-payload-shuffle path (resampled-row
-                    # state passes, kernels/chunked.py); a non-mergeable
-                    # tail splits into grid resample + re-salted tail.
-                    ds = run_salted_chain(
-                        ds,
-                        list(group_cols),
-                        list(sort_cols),
-                        list(pending),
-                        num_partitions=self.partitions
-                        or choose_partitions(ds),
-                        salt=self.salt,
-                    )
-                else:
-                    first = pending[0]
-                    if getattr(first, "combinable", False):
-                        # shuffle combiner (e.g. agg-mode resampling): one
-                        # partial row per (group, bucket) leaves each read
-                        # block; the in-partition kernel merges partials —
-                        # partition memory bounds at #buckets, not #rows
-                        ds = ds.map_batches(
-                            first.pre_aggregate_batch,
-                            batch_format="pyarrow",
-                        )
-                    ds = run_grouped_chain(
-                        ds,
-                        list(group_cols),
-                        list(sort_cols),
-                        list(pending),
-                        num_partitions=self.partitions,
-                    )
-            pending = []
-            mode = None
-            chain_key = None
+                return []
+            stage = ("stage", pending, mode, chain_key)
+            pending, mode, chain_key, pinned = [], None, None, False
+            return [stage]
 
         worklist = list(self.steps)
         i = 0
         while i < len(worklist):
             step = worklist[i]
             step.resolve(ing)
-            expanded = step.expand(ing)
-            if len(expanded) > 1 or expanded[0] is not step:
-                worklist[i : i + 1] = expanded
-                step = worklist[i]
-                if expanded[0] is step:
-                    pass  # already resolved
-                else:
-                    step.resolve(ing)
+            # a step may decompose into plan nodes headed by itself
+            worklist[i:i + 1] = step.expand(ing)
 
             if step.requires_fit and (
                 refit or not step.trained or getattr(step, "always_refit", False)
             ):
-                flush()
-                mbf = self.materialize_before_fit
-                if not pinned:
-                    if mbf in (True, "memory"):
-                        ds = ds.materialize()
-                        pinned = True
-                    elif mbf == "disk":
-                        ds = self._disk_checkpoint(ds)
-                        pinned = True
-                ing.dataset = ds
-                step.fit(ing)
-            elif not step.trained:
+                if pinned and shares_pin(pending, step):
+                    yield "shared", step, pins
+                else:
+                    yield from flush()
+                    pins += 1
+                    pinned = self.materialize_before_fit in (
+                        True, "memory", "disk")
+                    yield "pin", step, pins
+            elif not step.trained and not dry:
                 step._trained = True  # resolution is the only fit needed
 
             k = step.kind
             if k == "actor":
                 # stateful actor-pool stage: its own operator, never fused
-                flush()
-                ds = step.apply(ds)
+                yield from flush()
                 pinned = False
+                yield "actor", step
             else:
                 key = (
                     (tuple(step.group_cols), tuple(step.seq_cols))
@@ -294,7 +275,7 @@ class Recipe:
                 if mode is not None and (
                     k != mode or (k == "grouped" and key != chain_key)
                 ):
-                    flush()
+                    yield from flush()
                 mode = k
                 chain_key = key if k == "grouped" else chain_key
                 pending.append(step)
@@ -302,8 +283,72 @@ class Recipe:
             ing.apply_schema_delta(step.schema_delta(ing))
             ing.apply_role_delta(step.role_delta())
             i += 1
+        yield from flush()
 
-        flush()
+    def _stage(self, ds, steps: list[Step], mode: str, chain_key):
+        """Emit one physical stage: a fused batch chain or a grouped
+        shuffle (salted when the recipe has a SaltConfig)."""
+        if mode == "batch":
+            return ds.map_batches(_BatchChain(steps), batch_format="pyarrow")
+        group_cols, sort_cols = chain_key
+        clean_tail = not any(
+            s.frame_needs_all or s.changes_rowcount for s in steps[1:]
+        )
+        grid_head = getattr(steps[0], "salt_grid_capable", False) and clean_tail
+        saltable = (
+            self.salt is not None
+            and group_cols
+            and sort_cols
+            and (
+                not any(s.frame_needs_all or s.changes_rowcount for s in steps)
+                or grid_head
+            )
+        )
+        if saltable:
+            from recipys_ray.kernels.grouped import choose_partitions
+            from recipys_ray.kernels.salted import run_salted_chain
+
+            # run_salted_chain owns the grid-head policy: a resample head
+            # with an all-chunk-mergeable tail runs the FUSED
+            # single-payload-shuffle path (resampled-row state passes,
+            # kernels/chunked.py); a non-mergeable tail splits into grid
+            # resample + re-salted tail.
+            return run_salted_chain(
+                ds,
+                list(group_cols),
+                list(sort_cols),
+                steps,
+                num_partitions=self.partitions or choose_partitions(ds),
+                salt=self.salt,
+            )
+        if getattr(steps[0], "combinable", False):
+            # shuffle combiner (e.g. agg-mode resampling): one partial row
+            # per (group, bucket) leaves each read block; the in-partition
+            # kernel merges partials — partition memory bounds at #buckets,
+            # not #rows
+            ds = ds.map_batches(
+                steps[0].pre_aggregate_batch, batch_format="pyarrow"
+            )
+        return run_grouped_chain(
+            ds,
+            list(group_cols),
+            list(sort_cols),
+            steps,
+            num_partitions=self.partitions,
+        )
+
+    def _run(self, ing: Ingredients, refit: bool):
+        ds = ing.dataset
+        for event, *args in self._walk(ing, refit):
+            if event == "stage":
+                ds = self._stage(ds, *args)
+            elif event == "actor":
+                ds = args[0].apply(ds)
+            else:  # "pin" / "shared": fit on the current pin
+                if event == "pin":
+                    ds = self._pin(ds)
+                ing.dataset = ds
+                args[0].fit(ing)
         ing.dataset = ds
         self._last_ingredients = ing
         return ds
@@ -312,16 +357,13 @@ class Recipe:
     def explain(self, data=None) -> str:
         """Physical-plan preview WITHOUT executing anything: how steps fuse
         into map_batches chains and grouped shuffles, where fit flushes pin
-        the pipeline, and how salting routes. Mirrors ``_run``'s chaining
-        rules (same resolution pass); one line per physical stage."""
+        the pipeline, which fits share a pin, and how salting routes. Walks
+        the steps with ``_run``'s own planner (:meth:`_walk`); one line per
+        physical stage or fit."""
         from recipys_ray.kernels.grouped import plan_exchange
 
         ing = self._check_data(data)
         lines: list[str] = []
-        pending: list[str] = []
-        pending_steps: list = []
-        mode: Optional[str] = None
-        chain_key = None
         n_shuffles = 0
         # what the next exchange sizes itself from: the recipe's input
         # (exact), a derived dataset (no size metadata: the default
@@ -329,8 +371,11 @@ class Recipe:
         # (sized only once pinned, at run time)
         source = ing.dataset
         pinned = object()
+        pin = {True: "materialize", "memory": "materialize",
+               "disk": "parquet checkpoint"}.get(
+                   self.materialize_before_fit, "no pin")
 
-        def sizing(src, group, sort, p=None) -> tuple:
+        def sizing(src, group, sort, steps, p=None) -> tuple:
             """(partition count or None, text) of one exchange over src."""
             p = p or self.partitions
             if src is pinned:
@@ -343,7 +388,7 @@ class Recipe:
             if not group and not (
                 sort and plan.partitions > 1
                 and all(getattr(st, "chunk_mergeable", False)
-                        for st in pending_steps)
+                        for st in steps)
             ):
                 plan = plan_exchange(src, 1)  # one serial partition
             return plan.partitions, (
@@ -351,21 +396,19 @@ class Recipe:
                 f"{plan.blocks or '? (rows unknown)'}"
             )
 
-        def flush():
-            nonlocal pending, mode, chain_key, n_shuffles, source
-            if not pending:
-                return
+        def stage(steps, mode, chain_key):
+            nonlocal n_shuffles, source
+            names = [type(st).__name__ for st in steps]
             head_grid = (
-                getattr(pending_steps[0], "salt_grid_capable", False)
+                getattr(steps[0], "salt_grid_capable", False)
                 and not any(
                     st.frame_needs_all or st.changes_rowcount
-                    for st in pending_steps[1:]
+                    for st in steps[1:]
                 )
             )
             if mode == "batch":
                 lines.append(
-                    f"map_batches (fused x{len(pending)}): "
-                    + " -> ".join(pending)
+                    f"map_batches (fused x{len(steps)}): " + " -> ".join(names)
                 )
             else:
                 g, s = chain_key
@@ -374,94 +417,57 @@ class Recipe:
                 tail_mergeable = all(
                     getattr(st, "chunk_mergeable", False)
                     and not getattr(st, "_parity_chunked", False)
-                    for st in pending_steps[1:]
+                    for st in steps[1:]
                 )
-                if not salted and getattr(
-                    pending_steps[0], "combinable", False
-                ):
+                if not salted and getattr(steps[0], "combinable", False):
                     source = None  # the partial-aggregate stage's output
                 head = f"(group={list(g)}, sort={list(s)}; "
-                p, size = sizing(source, g, s)
-                if (
-                    salted and len(pending) > 1 and head_grid
-                    and tail_mergeable
-                ):
+                p, size = sizing(source, g, s, steps)
+                if salted and len(steps) > 1 and head_grid and tail_mergeable:
                     # fused grid-head path: one payload shuffle, downstream
                     # chunk states measured on the resampled rows
                     n_shuffles += 1
                     lines.append(
                         f"grouped shuffle #{n_shuffles}{tag} {head}grid "
                         f"head + resampled-row chunk states; fused "
-                        f"x{len(pending)}; {size}): " + " -> ".join(pending)
+                        f"x{len(steps)}; {size}): " + " -> ".join(names)
                     )
-                elif salted and len(pending) > 1 and head_grid:
+                elif salted and len(steps) > 1 and head_grid:
                     # grid-head split (two bounded salted shuffles) — the
                     # tail has a non-chunk-mergeable step
                     n_shuffles += 2
                     lines.append(
                         f"grouped shuffle #{n_shuffles - 1}{tag} {head}"
-                        f"{size}): {pending[0]} (grid slot-ownership chunks)"
+                        f"{size}): {names[0]} (grid slot-ownership chunks)"
                     )
                     lines.append(
                         f"grouped shuffle #{n_shuffles}{tag} (re-salted "
-                        f"over resampled rows; fused x{len(pending) - 1}; "
-                        f"{sizing(pinned, g, s, p)[1]}): "
-                        + " -> ".join(pending[1:])
+                        f"over resampled rows; fused x{len(steps) - 1}; "
+                        f"{sizing(pinned, g, s, steps, p)[1]}): "
+                        + " -> ".join(names[1:])
                     )
                 else:
                     n_shuffles += 1
                     lines.append(
                         f"grouped shuffle #{n_shuffles}{tag} {head}fused "
-                        f"x{len(pending)}; {size}): " + " -> ".join(pending)
+                        f"x{len(steps)}; {size}): " + " -> ".join(names)
                     )
             source = None  # every stage's output is a derived dataset
-            pending.clear()
-            pending_steps.clear()
-            mode = None
-            chain_key = None
 
-        worklist = list(self.steps)
-        i = 0
-        while i < len(worklist):
-            step = worklist[i]
-            step.resolve(ing)
-            expanded = step.expand(ing)
-            if len(expanded) > 1 or expanded[0] is not step:
-                worklist[i:i + 1] = expanded
-                step = worklist[i]
-                if expanded[0] is not step:
-                    step.resolve(ing)
-            name = type(step).__name__
-            if step.requires_fit and not step.trained:
-                flush()
-                mbf = self.materialize_before_fit
-                pin = {True: "materialize", "memory": "materialize",
-                       "disk": "parquet checkpoint"}.get(mbf, "no pin")
-                if pin != "no pin":
-                    source = pinned
-                lines.append(f"fit flush ({pin}): fit {name}")
-            k = step.kind
-            if k == "actor":
-                flush()
+        for event, *args in self._walk(ing, refit=False, dry=True):
+            if event == "stage":
+                stage(*args)
+                continue
+            name = type(args[0]).__name__
+            if event == "actor":
                 lines.append(f"actor-pool stage: {name}")
                 source = None
+            elif event == "pin":
+                if pin != "no pin":
+                    source = pinned
+                lines.append(f"fit flush #{args[1]} ({pin}): fit {name}")
             else:
-                key = (
-                    (tuple(step.group_cols), tuple(step.seq_cols))
-                    if k == "grouped" else None
-                )
-                if mode is not None and (
-                    k != mode or (k == "grouped" and key != chain_key)
-                ):
-                    flush()
-                mode = k
-                chain_key = key if k == "grouped" else chain_key
-                pending.append(name)
-                pending_steps.append(step)
-            ing.apply_schema_delta(step.schema_delta(ing))
-            ing.apply_role_delta(step.role_delta())
-            i += 1
-        flush()
+                lines.append(f"fit on pin #{args[1]}: fit {name}")
         lines.append(f"total grouped shuffles: {n_shuffles}")
         return "\n".join(lines)
 

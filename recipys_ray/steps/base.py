@@ -64,6 +64,10 @@ class Step:
     # The partition runner converts ONLY these columns to pandas; wide
     # payload columns (text, binaries) stay zero-copy Arrow.
     frame_needs_all = False  # True → kernel needs the whole frame
+    # a batch body returns every input row, in order, and writes only
+    # frame_outputs(): a later fit that reads none of those columns fits
+    # from the data pinned before this step (recipe.shares_pin)
+    keeps_rows = True
 
     def frame_inputs(self) -> list[str]:
         """Columns the grouped kernel reads (group/sort cols are implicit)."""

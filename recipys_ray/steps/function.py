@@ -88,6 +88,9 @@ class StepFunction(Step):
             # the chunk runner duck-types on attribute presence
             self.fold_chunk_states_grouped = self._proto.fold_grouped
 
+    # a user function may drop or reorder rows
+    keeps_rows = False
+
     @property
     def kind(self) -> str:
         return "grouped" if self.grouped else "batch"

@@ -63,6 +63,7 @@ class StepSklearn(Step):
         self.fit_sample_rows = fit_sample_rows
         self._transformers: dict = {}
         self._out_cols: list[str] = []
+        self._may_write: list[str] = []
 
     # ------------------------------------------------------------------ #
     @property
@@ -75,6 +76,21 @@ class StepSklearn(Step):
 
     def _cls_name(self) -> str:
         return self.transformer.__class__.__name__
+
+    def resolve(self, ing: Ingredients) -> None:
+        super().resolve(ing)
+        # before the fit the output names are unknown; the columns they
+        # could overwrite are the existing ones named after the transformer
+        prefix = self._cls_name() + "_"
+        self._may_write = [c for c in ing.columns if c.startswith(prefix)]
+
+    def frame_outputs(self) -> list[str]:
+        """The columns :meth:`transform_batch` writes: ``_out_cols`` once
+        fitted; before (``explain()``), the inputs of an in-place step and
+        the columns a new-column step could overwrite."""
+        if self.trained:
+            return list(self._out_cols)
+        return list(self.columns) if self.in_place else list(self._may_write)
 
     # ------------------------------------------------------------------ #
     def fit(self, ing: Ingredients) -> None:

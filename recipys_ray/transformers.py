@@ -88,7 +88,8 @@ class StandardScaler(NativeTransformer):
         # avg()/stddev_pop() (plain sequential float64 sum + one Welford
         # pass in scan order — kernels/duckdb_parity.py). One ordered pass
         # over the skinny columns; the production default stays the
-        # distributed longdouble-partial aggregate.
+        # distributed aggregate: per-block float64 ``np.nansum`` partials
+        # (aggregates._partial_for_column) summed on the driver.
         self.duckdb_parity_stats = duckdb_parity_stats
 
     @property

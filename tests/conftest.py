@@ -92,6 +92,34 @@ def sorted_pdf(ds, by=("id", "time")) -> pd.DataFrame:
     return out.sort_values(list(by), kind="stable").reset_index(drop=True)
 
 
+def plan_counts(plan: str) -> tuple:
+    """(grouped shuffles, fit flushes, fits on an existing pin) of an
+    ``explain()`` text."""
+    lines = plan.splitlines()
+    return (
+        int(lines[-1].rsplit(" ", 1)[1]),
+        sum(line.startswith("fit flush") for line in lines),
+        sum(line.startswith("fit on pin") for line in lines),
+    )
+
+
+def prep_counting_pins(rec, monkeypatch) -> tuple:
+    """``rec.prep()`` as pandas, and the pins it took: its
+    ``Dataset.materialize`` calls."""
+    from ray.data import Dataset
+
+    materialize, calls = Dataset.materialize, []
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(Dataset, "materialize", counted)
+    out = rec.prep().to_pandas()
+    monkeypatch.undo()
+    return out, len(calls)
+
+
 # ------------------------------------------------------------------ #
 # reference loader (golden tests) — stubs sklearn/scipy, imports the
 # read-only reference package for oracle outputs. We never copy its code.

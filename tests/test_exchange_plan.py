@@ -1,6 +1,7 @@
 """Plan shape of the sort exchange: stamp sizing and reducer layout, and
 the seam itself: every stamp and shuffle of the library goes through
-kernels/grouped.py."""
+kernels/grouped.py. Plan shape of the fit pins: which fits share a pin, and
+how many blocks a pin keeps."""
 
 import ast
 import itertools
@@ -11,17 +12,32 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from recipys_ray import (
+    Recipe,
+    StepImputeFill,
+    StepScale,
+    StepSklearn,
+    all_of,
+)
 from recipys_ray.kernels.grouped import (
     PART,
     SRC,
     STAMP_ROWS,
     exchange,
     hash_part,
+    pin_blocks,
     plan_exchange,
     stamp_block_rows,
     stamp_union,
     union_stamp_rows,
 )
+from recipys_ray.transformers import (
+    MinMaxScaler,
+    OneHotEncoder,
+    QuantileTransformer,
+)
+
+from .conftest import plan_counts, prep_counting_pins
 
 
 def blocks(n: int, rows: int) -> int:
@@ -203,3 +219,101 @@ def test_explain_reports_exchange_sizing(ray_session):
     # 20k rows at P = 4: max(16_384, 5_000)-row stamp batches → 2 blocks
     assert "partitions=4, stamp blocks=2" in shuffle
     assert "total grouped shuffles: 1" in plan
+
+
+# ---- fit groups: fits that share one pin ----------------------------------
+def _transcript_pdf(n=2_000):
+    rng = np.random.default_rng(5)
+    pdf = pd.DataFrame({
+        "conv_id": np.arange(n) // 50, "turn_idx": np.arange(n) % 50,
+        "n_chars": rng.integers(1, 500, n),
+        "latency_s": rng.exponential(2.0, n), "score": rng.normal(size=n),
+        "role": rng.choice(["user", "assistant", "system"], n),
+    })
+    pdf.loc[::7, "latency_s"] = np.nan
+    return pdf
+
+
+def _fit_bake_shape(ds):
+    """perfbench's fit_bake recipe: constant fill → z-score → one-hot(role)
+    → quantile(n_chars)."""
+    rec = Recipe(ds, predictors=["n_chars", "latency_s", "score", "role"])
+    rec.add_step(StepImputeFill(sel=all_of(["latency_s", "score"]), value=0.0))
+    rec.add_step(StepScale(sel=all_of(["latency_s", "score"])))
+    rec.add_step(StepSklearn(
+        OneHotEncoder(), sel=all_of(["role"]), in_place=False))
+    rec.add_step(StepSklearn(QuantileTransformer(), sel=all_of(["n_chars"])))
+    return rec
+
+
+def _dependent_fits(ds):
+    """The second fit reads the column the first one writes."""
+    rec = Recipe(ds, predictors=["latency_s", "score"])
+    rec.add_step(StepScale(sel=all_of(["latency_s"])))
+    rec.add_step(StepSklearn(MinMaxScaler(), sel=all_of(["latency_s"])))
+    return rec
+
+
+def test_fit_bake_shape_pins_once(ray_session):
+    plan = _fit_bake_shape(rd.from_pandas(_transcript_pdf())).explain()
+    assert plan_counts(plan) == (0, 1, 2)
+    assert "fit flush #1 (materialize): fit StepScale" in plan
+    assert plan.count("fit on pin #1: fit StepSklearn") == 2
+    # every transform after the pin is one fused chain
+    assert plan.splitlines()[-2] == (
+        "map_batches (fused x3): StepScale -> StepSklearn -> StepSklearn")
+
+
+def test_fit_reading_a_written_column_flushes(ray_session):
+    plan = _dependent_fits(rd.from_pandas(_transcript_pdf())).explain()
+    assert plan_counts(plan) == (0, 2, 0)
+
+
+def test_flagship_keeps_one_shuffle_and_one_flush(ray_session):
+    from recipys_ray.pipelines.transcripts import flagship_recipe
+
+    pdf = _transcript_pdf().drop(columns="role")
+    pdf["ts"] = pd.Timestamp("2024-01-01") + pd.to_timedelta(
+        pdf["turn_idx"], unit="min")
+    plan = flagship_recipe(rd.from_pandas(pdf), partitions=4).explain()
+    assert plan_counts(plan) == (1, 1, 0)
+
+
+def test_prep_pins_as_often_as_explain_says(ray_session, monkeypatch):
+    for build in (_fit_bake_shape, _dependent_fits):
+        rec = build(rd.from_pandas(_transcript_pdf()))
+        flushes = plan_counts(rec.explain())[1]
+        assert prep_counting_pins(rec, monkeypatch)[1] == flushes, build
+
+
+class _RecordedScale(StepScale):
+    """StepScale that records the block count of the data its fit reads."""
+
+    def fit(self, ing):
+        self.fit_blocks = ing.dataset.num_blocks()
+        super().fit(ing)
+
+
+def test_pin_is_coalesced_in_row_order(ray_session):
+    pdf = _transcript_pdf()
+    ds = rd.from_pandas(pdf, override_num_blocks=24)
+    target = pin_blocks(ds.materialize().size_bytes())
+    assert target < 24  # 2 × 4 CPUs here
+    rec = Recipe(ds, predictors=["latency_s", "score"])
+    scale = _RecordedScale(sel=all_of(["latency_s"]))
+    rec.add_step(scale)
+    out = rec.prep().materialize()
+    assert scale.fit_blocks == target
+    assert "Repartition" in out.stats()
+    # repartition without a shuffle keeps the row order
+    np.testing.assert_array_equal(out.to_pandas()["score"], pdf["score"])
+
+
+def test_pin_within_target_is_not_repartitioned(ray_session):
+    from recipys_ray.pipelines.transcripts import flagship_recipe
+
+    pdf = _transcript_pdf().drop(columns="role")
+    pdf["ts"] = pd.Timestamp("2024-01-01") + pd.to_timedelta(
+        pdf["turn_idx"], unit="min")
+    out = flagship_recipe(rd.from_pandas(pdf), partitions=4).prep()
+    assert "Repartition" not in out.materialize().stats()

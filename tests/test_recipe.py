@@ -8,14 +8,23 @@ import ray.data as rd
 from recipys_ray import (
     Accumulator,
     Recipe,
+    StepFunction,
     StepHistorical,
     StepImputeFill,
     StepScale,
+    StepSklearn,
     all_numeric_predictors,
     all_of,
 )
+from recipys_ray.transformers import MinMaxScaler, OneHotEncoder
 
-from .conftest import f1_pandas, make_recipe, sorted_pdf
+from .conftest import (
+    f1_pandas,
+    make_recipe,
+    plan_counts,
+    prep_counting_pins,
+    sorted_pdf,
+)
 
 
 def test_prep_bake_same_result():
@@ -211,3 +220,93 @@ def test_llm_data_pipeline_example_runs(ray_session, tmp_path):
             WHERE n_words > 0"""
     ).fetchone()
     assert toks[0] > 0 and bool(toks[1])
+
+
+# ---- fits that share one pin ----------------------------------------------
+def _fit_frame(n=600):
+    rng = np.random.default_rng(11)
+    pdf = pd.DataFrame({
+        "x": rng.normal(5.0, 2.0, n), "y": rng.exponential(3.0, n),
+        "z": rng.integers(0, 1000, n).astype("float64"),
+        "c": rng.choice(["a", "b", "c"], n),
+    })
+    pdf.loc[::9, "x"] = np.nan
+    return pdf
+
+
+def _three_fits(ds, between=None):
+    """Scale(x) → MinMax(y) → one-hot(c): three fits on disjoint columns,
+    with an optional step between the first two."""
+    rec = Recipe(ds, predictors=["x", "y", "z", "c"])
+    rec.add_step(StepScale(sel=all_of(["x"])))
+    if between is not None:
+        rec.add_step(between)
+    rec.add_step(StepSklearn(MinMaxScaler(), sel=all_of(["y"])))
+    rec.add_step(StepSklearn(OneHotEncoder(), sel=all_of(["c"]),
+                             in_place=False))
+    return rec
+
+
+def test_shared_pin_matches_separate_pins(ray_session, monkeypatch):
+    ds = rd.from_pandas(_fit_frame(), override_num_blocks=4)
+    shared, pins = prep_counting_pins(_three_fits(ds), monkeypatch)
+    # a user function between the fits ends sharing, even one that
+    # declares a footprint apart from the fitted columns
+    ident = StepFunction(function=lambda pdf: pdf, inputs=["z"],
+                         outputs=["z"])
+    split_rec = _three_fits(ds, between=ident)
+    assert plan_counts(split_rec.explain())[1] == 2
+    split, split_pins = prep_counting_pins(split_rec, monkeypatch)
+    assert (pins, split_pins) == (1, 2)
+    pd.testing.assert_frame_equal(shared, split)  # bit-identical
+
+
+def test_dependent_fit_sees_written_values(ray_session, monkeypatch):
+    pdf = _fit_frame()
+    rec = Recipe(rd.from_pandas(pdf), predictors=["x", "y"])
+    rec.add_step(StepScale(sel=all_of(["x"])))
+    rec.add_step(StepSklearn(MinMaxScaler(), sel=all_of(["x"])))
+    out, pins = prep_counting_pins(rec, monkeypatch)
+    assert pins == 2
+    z = (pdf["x"] - pdf["x"].mean()) / pdf["x"].std(ddof=0)
+    want = (z - z.min()) / (z.max() - z.min())
+    np.testing.assert_allclose(out["x"], want, rtol=1e-12, atol=1e-12)
+
+
+def test_new_column_over_an_existing_one_ends_sharing(ray_session, monkeypatch):
+    pdf = _fit_frame()
+    pdf["MinMaxScaler_y"] = 100.0 + pdf["y"]  # the name MinMax(y) writes
+    rec = Recipe(rd.from_pandas(pdf), predictors=["x", "y"])
+    rec.add_step(StepSklearn(MinMaxScaler(), sel=all_of(["y"]),
+                             in_place=False))
+    rec.add_step(StepScale(sel=all_of(["MinMaxScaler_y"])))
+    assert plan_counts(rec.explain())[1] == 2
+    out, pins = prep_counting_pins(rec, monkeypatch)
+    assert pins == 2
+    mm = (pdf["y"] - pdf["y"].min()) / (pdf["y"].max() - pdf["y"].min())
+    want = (mm - mm.mean()) / mm.std(ddof=0)
+    np.testing.assert_allclose(out["MinMaxScaler_y"], want, rtol=1e-12,
+                               atol=1e-12)
+
+
+def test_batch_function_between_fits_ends_sharing(ray_session, monkeypatch):
+    def drop_half(pdf):
+        return pdf[pdf["z"] < 500]
+
+    pdf = _fit_frame()
+    rec = _three_fits(rd.from_pandas(pdf), between=StepFunction(
+        function=drop_half, inputs=["z"], outputs=["z"]))
+    assert plan_counts(rec.explain())[1] == 2
+    out, pins = prep_counting_pins(rec, monkeypatch)
+    assert pins == 2
+    y = drop_half(pdf)["y"]
+    np.testing.assert_allclose(
+        out["y"], (y - y.min()) / (y.max() - y.min()), rtol=1e-12)
+
+
+def test_bake_after_shared_prep_equals_prep(ray_session):
+    ds = rd.from_pandas(_fit_frame(), override_num_blocks=4)
+    rec = _three_fits(ds)
+    assert plan_counts(rec.explain())[1] == 1
+    prepped = rec.prep().to_pandas()
+    pd.testing.assert_frame_equal(rec.bake(ds).to_pandas(), prepped)
