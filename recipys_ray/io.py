@@ -16,6 +16,14 @@ count, metrics, timestamp). A re-run:
 Buckets are deterministic (pandas stable hash of the group key, same
 function the engine's shuffle uses), so resume is idempotent: running N
 times produces byte-identical content to one clean run.
+
+Migration note: the stamp now reads integer and bool keys as pandas'
+nullable dtypes (``kernels/grouped.py::key_frame``). Before, such a key
+read back as float64 or object in a batch holding a null, so its bucket
+depended on its batch. A non-null key hashes as before, so only the rows
+of batches with a null key can change bucket: a run resumed over an
+output written before this change, whose integer or bool key has nulls,
+should be rewritten from scratch (delete its ``_manifest`` directory).
 """
 
 from __future__ import annotations

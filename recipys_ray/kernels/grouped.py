@@ -4,14 +4,17 @@ through these entry points (``tests/test_exchange_plan.py`` fails on a
 ``map_groups`` call or a copied ``hash_pandas_object`` stamp elsewhere):
 
 - :func:`hash_part` — the partition stamp, ``hash(key) % P`` with pandas'
-  stable hash. Used by the grouped chain's stamp, :class:`SaltedStamp`
-  (kernels/salted.py), the co-partitioned join unions and the resumable
-  output buckets of ``io.py``.
+  stable hash of the keys as :func:`key_frame` reads them. Used by the
+  grouped chain's stamp, :class:`SaltedStamp` (kernels/salted.py), the
+  co-partitioned join unions and the resumable output buckets of
+  ``io.py``.
 - :func:`plan_exchange` — partition count, stamp batch rows and planned
   stamp blocks from plan metadata. Used by every exchange below and by
   ``Recipe.explain()``.
-- :func:`size_pin` — the block count of a recipe's fit pin, from the same
-  cluster CPU count as the partition count (``Recipe.prep()``).
+- :func:`plan_pin` / :func:`size_pin` — the block count of a recipe's fit
+  pin, from the same cluster CPU count as the partition count: the batch
+  stage that feeds a pin emits at most that many blocks, and ``size_pin``
+  guards the pins whose row count was unknown (``Recipe.prep()``).
 - :func:`stamp_union` — the padded, tagged, stamped union of the sides of
   a co-partitioned exchange: ``hash_join`` (ops/join.py), ``asof_join``
   (ops/asof.py), ``range_join``/``range_agg`` (ops/rangejoin.py) and the
@@ -167,16 +170,34 @@ def pin_blocks(size_bytes: int) -> int:
     return max(2 * _cluster_cpus(), by_size)
 
 
+def plan_pin(ds) -> Optional[tuple[int, int]]:
+    """(batch rows, blocks) of a row-preserving map stage over ``ds`` whose
+    output a recipe pins: batches of ⌈rows / :func:`pin_blocks`⌉ rows, so
+    the stage emits at most ``pin_blocks`` blocks, in input order, and the
+    pin needs no second execution to coalesce them. From plan metadata
+    only (:func:`_meta_rows`, :func:`_lazy_size_bytes`); None when the plan
+    cannot say, and :func:`size_pin` bounds the pin instead."""
+    n, nbytes = _meta_rows(ds), _lazy_size_bytes(ds)
+    if not n or not nbytes:
+        return None
+    rows = -(-n // pin_blocks(nbytes))
+    return rows, -(-n // rows)
+
+
 def size_pin(pinned):
-    """Coalesce a materialized dataset (a recipe's fit pin) to at most
+    """The guard on a materialized fit pin: coalesce it to at most
     :func:`pin_blocks` blocks; a pin within the bound is returned as is.
 
-    A pin keeps its upstream's block layout (8 parquet files read as 24
-    blocks), and every pass over it — each fit's stats pass and the
-    transform after it — pays a per-block task floor (BASELINE.md "Fit
-    flush"). ``repartition(n)`` without a shuffle splits and joins blocks
-    in order, so row order, and with it every ordered fit, is kept. The
-    unsized pin is dropped once the sized one is built."""
+    A batch stage that feeds a pin sizes its own output
+    (:func:`plan_pin`), so this does nothing there. It acts where the row
+    count was unknown when the stage was built (a derived input: the pin
+    keeps its upstream's block layout) or where a fit reads the input
+    itself (8 parquet files read as 24 blocks). Every pass over a pin —
+    each fit's stats pass and the transform after it — pays a per-block
+    task floor (BASELINE.md "Fit flush"). ``repartition(n)`` without a
+    shuffle splits and joins blocks in order, so row order, and with it
+    every ordered fit, is kept. The unsized pin is dropped once the sized
+    one is built."""
     target = pin_blocks(pinned.size_bytes())
     if pinned.num_blocks() <= target:
         return pinned
@@ -247,18 +268,39 @@ def union_stamp_rows(
     ]
 
 
+# arrow integer and bool key types → pandas nullable dtypes (:func:`key_frame`)
+_NULLABLE = {
+    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
+    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
+    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
+    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
+    pa.bool_(): pd.BooleanDtype(),
+}
+
+
+def key_frame(tbl: pa.Table, key_cols: Sequence[str]) -> pd.DataFrame:
+    """The key columns of an arrow table as the pandas frame a stamp hashes.
+    Integer and bool columns become pandas' nullable dtypes, so a key's
+    pandas dtype, and with it its hash, does not depend on whether its
+    batch holds a null (plain ``to_pandas`` gives float64 or object there
+    and int64 or bool elsewhere, and one key value got two partition ids).
+    pandas hashes a non-null nullable value like the plain one."""
+    return tbl.select(list(key_cols)).to_pandas(types_mapper=_NULLABLE.get)
+
+
 def hash_part(
     data, key_cols: Sequence[str], num_partitions: int
 ) -> np.ndarray:
     """The engine's one partition stamp: ``hash(key_cols) % P`` as int32,
-    per row of a pyarrow Table or a pandas DataFrame. pandas' stable hash
-    of the key values (not their column names), so ids agree across
-    processes, across sides of a join and across runs (resumable output
-    buckets rely on that). No key columns: every row in partition 0."""
+    per row of a pyarrow Table (its keys read by :func:`key_frame`) or a
+    pandas DataFrame. pandas' stable hash of the key values (not their
+    column names), so ids agree across processes, across sides of a join,
+    across batches and across runs (resumable output buckets rely on
+    that). No key columns: every row in partition 0."""
     if not key_cols:
         return np.zeros(len(data), dtype=np.int32)
     if isinstance(data, pa.Table):
-        pdf = data.select(list(key_cols)).to_pandas()
+        pdf = key_frame(data, key_cols)
     else:
         pdf = data[list(key_cols)]
     h = pd.util.hash_pandas_object(pdf, index=False).to_numpy()

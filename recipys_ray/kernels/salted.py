@@ -42,6 +42,7 @@ from recipys_ray.kernels.grouped import (
     _PartitionRunner,
     exchange,
     hash_part,
+    key_frame,
     partitioned_groupby_map,
     plan_exchange,
     stamp_union,
@@ -171,7 +172,7 @@ class SaltedStamp:
 
     def _salt_values(self, tbl: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         """(is_hot bool mask, salt int64 per row)."""
-        pdf = tbl.select(self.group_cols).to_pandas()
+        pdf = key_frame(tbl, self.group_cols)
         hot = _hot_mask_pdf(pdf, self.group_cols, self.hot_keys)
         sv = tbl.column(self.salt_col)
         if pa.types.is_timestamp(sv.type) or pa.types.is_duration(sv.type):
@@ -181,7 +182,7 @@ class SaltedStamp:
         return hot, salt
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        pdf = tbl.select(self.group_cols).to_pandas()
+        pdf = key_frame(tbl, self.group_cols)
         part = hash_part(pdf, self.group_cols, self.p)
         hot, salt = self._salt_values(tbl)
         if hot.any():

@@ -12,8 +12,11 @@ with a physical planner designed for Ray Data's streaming executor:
 - Fitted steps fit in **groups that share one pin**. The first fit of a
   group flushes the pipeline and materializes it once (so the fit
   aggregates and the downstream transform don't recompute the upstream),
-  coalesced to at most max(2 × CPUs, bytes / Ray block size) blocks
-  (kernels/grouped.py ``size_pin``). A later fit reads the same pin while
+  in at most max(2 × CPUs, bytes / Ray block size) blocks. The fused batch
+  chain that feeds the pin emits that many blocks itself when its input's
+  row count is known from plan metadata (kernels/grouped.py ``plan_pin``),
+  so the pin is one Dataset execution; otherwise ``size_pin`` coalesces the
+  pin after it is taken. A later fit reads the same pin while
   every step queued since is a row- and order-preserving batch step that
   writes none of the columns it fits on (:func:`shares_pin`); its
   transform joins the pending fused chain. Each fit is a streaming
@@ -36,7 +39,7 @@ from typing import Optional, Union
 import pyarrow as pa
 
 from recipys_ray.ingredients import Ingredients
-from recipys_ray.kernels.grouped import run_grouped_chain, size_pin
+from recipys_ray.kernels.grouped import plan_pin, run_grouped_chain, size_pin
 from recipys_ray.steps.base import Step
 
 
@@ -88,7 +91,7 @@ class Recipe:
         """``materialize_before_fit`` controls how the pipeline-so-far is
         pinned before a fitted step's aggregate pass(es):
 
-        - True / "memory": ``ds.materialize()``, coalesced to at most
+        - True / "memory": ``ds.materialize()`` in at most
           max(2 × CPUs, bytes / Ray block size) blocks — fastest
           single-node, but pins the WHOLE dataset in the object store once
           per fit group (at 100 TB that spills everything through the
@@ -100,6 +103,13 @@ class Recipe:
         - False: no pinning — the lazy pipeline re-executes for every fit
           pass AND the downstream transform (only sensible when the
           upstream is a trivial read).
+
+        Both pins are sized where their blocks are made: a row-preserving
+        batch chain that feeds the pin runs in batches of ⌈rows / that
+        bound⌉ when its input's row count is known, so a memory pin holds
+        at most that many blocks and a checkpoint that many files (one per
+        block). A memory pin whose row count was unknown (a derived input,
+        or a fit on the input itself) is coalesced after it is taken.
         """
         if not isinstance(data, Ingredients):
             from recipys_ray.ingredients import as_dataset
@@ -209,8 +219,12 @@ class Recipe:
         run and the plan cannot drift. Resolves and expands the steps in
         order and yields the physical events:
 
-        - ``("stage", steps, mode, chain_key)``: one fused ``map_batches``
-          chain (mode "batch") or one grouped shuffle over ``steps``;
+        - ``("stage", steps, mode, chain_key, sizes)``: one fused
+          ``map_batches`` chain (mode "batch") or one grouped shuffle over
+          ``steps``. ``sizes`` is n when the stage is a row-preserving
+          batch chain whose output becomes pin #n (memory or disk): it
+          emits at most the pin's block bound (:func:`plan_pin`), else
+          None;
         - ``("pin", step, n)``: pin the pipeline so far as pin #n, then fit
           ``step`` on it;
         - ``("shared", step, n)``: fit ``step`` on pin #n as it stands — the
@@ -230,11 +244,14 @@ class Recipe:
         # `pending` is queued
         pinned = False
 
-        def flush() -> list:
+        def flush(pin: Optional[int] = None) -> list:
             nonlocal pending, mode, chain_key, pinned
             if not pending:
                 return []
-            stage = ("stage", pending, mode, chain_key)
+            sizes = pin if mode == "batch" and all(
+                s.keeps_rows and not s.changes_rowcount for s in pending
+            ) else None
+            stage = ("stage", pending, mode, chain_key, sizes)
             pending, mode, chain_key, pinned = [], None, None, False
             return [stage]
 
@@ -252,10 +269,11 @@ class Recipe:
                 if pinned and shares_pin(pending, step):
                     yield "shared", step, pins
                 else:
-                    yield from flush()
                     pins += 1
-                    pinned = self.materialize_before_fit in (
+                    takes_pin = self.materialize_before_fit in (
                         True, "memory", "disk")
+                    yield from flush(pins if takes_pin else None)
+                    pinned = takes_pin
                     yield "pin", step, pins
             elif not step.trained and not dry:
                 step._trained = True  # resolution is the only fit needed
@@ -285,11 +303,16 @@ class Recipe:
             i += 1
         yield from flush()
 
-    def _stage(self, ds, steps: list[Step], mode: str, chain_key):
+    def _stage(self, ds, steps: list[Step], mode: str, chain_key,
+               sizes: Optional[int]):
         """Emit one physical stage: a fused batch chain or a grouped
-        shuffle (salted when the recipe has a SaltConfig)."""
+        shuffle (salted when the recipe has a SaltConfig). A batch chain
+        that ``sizes`` a pin runs in batches that give the pin's block
+        count when the plan knows its input rows (:func:`plan_pin`)."""
         if mode == "batch":
-            return ds.map_batches(_BatchChain(steps), batch_format="pyarrow")
+            plan = plan_pin(ds) if sizes else None
+            return ds.map_batches(_BatchChain(steps), batch_format="pyarrow",
+                                  batch_size=plan[0] if plan else None)
         group_cols, sort_cols = chain_key
         clean_tail = not any(
             s.frame_needs_all or s.changes_rowcount for s in steps[1:]
@@ -357,15 +380,16 @@ class Recipe:
     def explain(self, data=None) -> str:
         """Physical-plan preview WITHOUT executing anything: how steps fuse
         into map_batches chains and grouped shuffles, where fit flushes pin
-        the pipeline, which fits share a pin, and how salting routes. Walks
-        the steps with ``_run``'s own planner (:meth:`_walk`); one line per
-        physical stage or fit."""
+        the pipeline, how the batch chain feeding a pin sizes it, which fits
+        share a pin, and how salting routes. Walks the steps with
+        ``_run``'s own planner (:meth:`_walk`); one line per physical stage
+        or fit."""
         from recipys_ray.kernels.grouped import plan_exchange
 
         ing = self._check_data(data)
         lines: list[str] = []
         n_shuffles = 0
-        # what the next exchange sizes itself from: the recipe's input
+        # what the next exchange or pin sizes itself from: the recipe's input
         # (exact), a derived dataset (no size metadata: the default
         # partition count, unknown rows) or the data a fit flush pinned
         # (sized only once pinned, at run time)
@@ -396,7 +420,7 @@ class Recipe:
                 f"{plan.blocks or '? (rows unknown)'}"
             )
 
-        def stage(steps, mode, chain_key):
+        def stage(steps, mode, chain_key, sizes):
             nonlocal n_shuffles, source
             names = [type(st).__name__ for st in steps]
             head_grid = (
@@ -407,9 +431,13 @@ class Recipe:
                 )
             )
             if mode == "batch":
-                lines.append(
-                    f"map_batches (fused x{len(steps)}): " + " -> ".join(names)
-                )
+                fused = f"fused x{len(steps)}"
+                if sizes:
+                    plan = (plan_pin(source) if source is not None
+                            and source is not pinned else None)
+                    fused += (f"; sizes pin #{sizes}: {plan[1]} blocks"
+                              if plan else f"; pin #{sizes} sized at run time")
+                lines.append(f"map_batches ({fused}): " + " -> ".join(names))
             else:
                 g, s = chain_key
                 salted = self.salt is not None and g and s

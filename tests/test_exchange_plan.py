@@ -25,8 +25,10 @@ from recipys_ray.kernels.grouped import (
     STAMP_ROWS,
     exchange,
     hash_part,
+    partitioned_groupby_map,
     pin_blocks,
     plan_exchange,
+    plan_pin,
     stamp_block_rows,
     stamp_union,
     union_stamp_rows,
@@ -125,6 +127,38 @@ def test_hash_part_is_the_pandas_stable_hash():
         hash_part(right, ["l", "r"], 11), hash_part(tbl, ["a", "b"], 11)
     )
     assert hash_part(tbl, [], 4).tolist() == [0] * 5
+
+
+def test_nullable_int_key_keeps_one_partition_id(ray_session):
+    """An integer key reads back as float64 from a batch that holds a null
+    and as int64 from one that does not; the stamp must hash it the same
+    either way, or one key lands in two partitions."""
+    blocks_ = [pa.table({"k": pa.array(v, pa.int64())})
+               for v in ([2, None], [2, 3])]
+    # a derived dataset: each block is stamped on its own
+    ds = rd.from_arrow(blocks_).map_batches(lambda t: t,
+                                            batch_format="pyarrow")
+
+    def sizes(pdf):
+        return pdf.groupby("k", dropna=False).size().rename("n").reset_index()
+
+    got = partitioned_groupby_map(ds, ["k"], sizes, 8).to_pandas()
+    assert got.loc[got["k"] == 2, "n"].tolist() == [2]
+    assert sorted(got["n"]) == [1, 1, 2]
+    # null-free integer (and bool) keys keep their ids: a nullable value
+    # hashes like the plain one
+    for arr, plain in [(pa.array([2, 3, 7], pa.int64()), [2, 3, 7]),
+                       (pa.array([5, 0], pa.uint8()), [5, 0]),
+                       (pa.array([True, False]), [True, False])]:
+        h = pd.util.hash_pandas_object(pd.DataFrame({"k": plain}),
+                                       index=False)
+        want = (h.to_numpy() % np.uint64(8)).astype(np.int32)
+        np.testing.assert_array_equal(
+            hash_part(pa.table({"k": arr}), ["k"], 8), want)
+        # and a batch with a null agrees on the non-null rows
+        with_null = pa.concat_arrays([arr, pa.nulls(1, arr.type)])
+        np.testing.assert_array_equal(
+            hash_part(pa.table({"k": with_null}), ["k"], 8)[:-1], want)
 
 
 SEAM = pathlib.Path("recipys_ray/kernels/grouped.py")
@@ -234,10 +268,11 @@ def _transcript_pdf(n=2_000):
     return pdf
 
 
-def _fit_bake_shape(ds):
+def _fit_bake_shape(ds, **kw):
     """perfbench's fit_bake recipe: constant fill → z-score → one-hot(role)
     → quantile(n_chars)."""
-    rec = Recipe(ds, predictors=["n_chars", "latency_s", "score", "role"])
+    rec = Recipe(ds, predictors=["n_chars", "latency_s", "score", "role"],
+                 **kw)
     rec.add_step(StepImputeFill(sel=all_of(["latency_s", "score"]), value=0.0))
     rec.add_step(StepScale(sel=all_of(["latency_s", "score"])))
     rec.add_step(StepSklearn(
@@ -287,14 +322,17 @@ def test_prep_pins_as_often_as_explain_says(ray_session, monkeypatch):
 
 
 class _RecordedScale(StepScale):
-    """StepScale that records the block count of the data its fit reads."""
+    """StepScale that records the block count and the rows of the data its
+    fit reads."""
 
     def fit(self, ing):
         self.fit_blocks = ing.dataset.num_blocks()
+        self.fit_rows = ing.dataset.to_pandas()
         super().fit(ing)
 
 
 def test_pin_is_coalesced_in_row_order(ray_session):
+    """The guard path: the fit reads the input itself, no stage sizes it."""
     pdf = _transcript_pdf()
     ds = rd.from_pandas(pdf, override_num_blocks=24)
     target = pin_blocks(ds.materialize().size_bytes())
@@ -302,11 +340,89 @@ def test_pin_is_coalesced_in_row_order(ray_session):
     rec = Recipe(ds, predictors=["latency_s", "score"])
     scale = _RecordedScale(sel=all_of(["latency_s"]))
     rec.add_step(scale)
+    assert rec.explain().splitlines()[0] == (
+        "fit flush #1 (materialize): fit _RecordedScale")
     out = rec.prep().materialize()
     assert scale.fit_blocks == target
     assert "Repartition" in out.stats()
-    # repartition without a shuffle keeps the row order
-    np.testing.assert_array_equal(out.to_pandas()["score"], pdf["score"])
+    # repartition without a shuffle keeps the row order of the pin (the
+    # map after the fit may finish its tasks in any order)
+    np.testing.assert_array_equal(scale.fit_rows["score"], pdf["score"])
+    assert len(out.to_pandas()) == len(pdf)
+
+
+def _sized_fit_bake(ds):
+    """fit_bake's shape with a recorded z-score fit."""
+    rec = _fit_bake_shape(ds)
+    rec.steps[1] = _RecordedScale(sel=all_of(["latency_s", "score"]))
+    return rec
+
+
+def test_batch_chain_sizes_the_pin(ray_session, monkeypatch):
+    """The fill chain that feeds fit_bake's pin emits at most pin_blocks
+    blocks from a 24-block input: one execution, no Repartition."""
+    ds = rd.from_pandas(_transcript_pdf(), override_num_blocks=24)
+    target = pin_blocks(ds.size_bytes())
+    _, planned = plan_pin(ds)
+    assert planned <= target < 24
+    rec = _sized_fit_bake(ds)
+    assert rec.explain().splitlines()[0] == (
+        f"map_batches (fused x1; sizes pin #1: {planned} blocks): "
+        "StepImputeFill")
+    out = rec.prep().materialize()
+    assert rec.steps[1].fit_blocks <= target
+    assert "Repartition" not in out.stats()
+    _, pins = prep_counting_pins(_sized_fit_bake(ds), monkeypatch)
+    assert pins == 1  # one materialize per pin: no coalescing pass
+
+
+def test_derived_input_is_sized_at_run_time(ray_session):
+    """Rows unknown from the plan: the pin is sized by the guard."""
+    ds = rd.from_pandas(_transcript_pdf(), override_num_blocks=24)
+    derived = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    assert plan_pin(derived) is None
+    rec = _sized_fit_bake(derived)
+    plan = rec.explain()
+    assert plan.splitlines()[0] == (
+        "map_batches (fused x1; pin #1 sized at run time): StepImputeFill")
+    assert plan_counts(plan) == (0, 1, 2)
+    rec.prep().materialize()
+    assert rec.steps[1].fit_blocks <= pin_blocks(ds.size_bytes())
+
+
+def test_disk_checkpoint_is_sized(ray_session, tmp_path, monkeypatch):
+    monkeypatch.setenv("RECIPYS_CKPT_DIR", str(tmp_path))
+    ds = rd.from_pandas(_transcript_pdf(), override_num_blocks=24)
+    rec = _fit_bake_shape(ds, materialize_before_fit="disk")
+    assert "sizes pin #1" in rec.explain().splitlines()[0]
+    rec.prep().materialize()
+    files = list(tmp_path.rglob("*.parquet"))
+    assert 0 < len(files) <= pin_blocks(ds.size_bytes())
+
+
+def test_sized_pin_matches_pandas(ray_session):
+    """fit_bake's shape over a sized pin against pandas: constant fill,
+    z-score (population std), one-hot of role, and the quantile transform
+    from the exact percentiles (n_chars has few distinct values, so the
+    fitted quantiles are exact)."""
+    pdf = _transcript_pdf()
+    ds = rd.from_pandas(pdf, override_num_blocks=24)
+    out = _fit_bake_shape(ds).prep().to_pandas().sort_values(
+        ["conv_id", "turn_idx"], ignore_index=True)
+    for c in ["latency_s", "score"]:
+        x = pdf[c].fillna(0.0)
+        np.testing.assert_allclose(out[c], (x - x.mean()) / x.std(ddof=0),
+                                   rtol=1e-12, atol=1e-12)
+    for i, role in enumerate(sorted(pdf["role"].unique()), start=1):
+        np.testing.assert_array_equal(out[f"OneHotEncoder_{i}"],
+                                      (pdf["role"] == role).astype(float))
+    refs = np.linspace(0, 1, 1000)
+    x = pdf["n_chars"].to_numpy(float)
+    qv = np.percentile(x, refs * 100)
+    fwd = np.interp(x, qv, refs)
+    bwd = -np.interp(-x, -qv[::-1], -refs[::-1])
+    np.testing.assert_allclose(out["n_chars"], 0.5 * (fwd + bwd),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_pin_within_target_is_not_repartitioned(ray_session):
