@@ -173,10 +173,12 @@ def pin_blocks(size_bytes: int) -> int:
 def plan_pin(ds) -> Optional[tuple[int, int]]:
     """(batch rows, blocks) of a row-preserving map stage over ``ds`` whose
     output a recipe pins: batches of ⌈rows / :func:`pin_blocks`⌉ rows, so
-    the stage emits at most ``pin_blocks`` blocks, in input order, and the
-    pin needs no second execution to coalesce them. From plan metadata
-    only (:func:`_meta_rows`, :func:`_lazy_size_bytes`); None when the plan
-    cannot say, and :func:`size_pin` bounds the pin instead."""
+    the stage emits at most ``pin_blocks`` blocks and the pin needs no
+    second execution to coalesce them. The blocks are pinned in the order
+    the map's tasks finish (Ray's default ``preserve_order=False``), as an
+    unsized stage's are. From plan metadata only (:func:`_meta_rows`,
+    :func:`_lazy_size_bytes`); None when the plan cannot say, and
+    :func:`size_pin` bounds the pin instead."""
     n, nbytes = _meta_rows(ds), _lazy_size_bytes(ds)
     if not n or not nbytes:
         return None
@@ -195,9 +197,8 @@ def size_pin(pinned):
     itself (8 parquet files read as 24 blocks). Every pass over a pin —
     each fit's stats pass and the transform after it — pays a per-block
     task floor (BASELINE.md "Fit flush"). ``repartition(n)`` without a
-    shuffle splits and joins blocks in order, so row order, and with it
-    every ordered fit, is kept. The unsized pin is dropped once the sized
-    one is built."""
+    shuffle splits and joins blocks in order, so the pin's row order is
+    kept. The unsized pin is dropped once the sized one is built."""
     target = pin_blocks(pinned.size_bytes())
     if pinned.num_blocks() <= target:
         return pinned

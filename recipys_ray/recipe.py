@@ -107,9 +107,12 @@ class Recipe:
         Both pins are sized where their blocks are made: a row-preserving
         batch chain that feeds the pin runs in batches of ⌈rows / that
         bound⌉ when its input's row count is known, so a memory pin holds
-        at most that many blocks and a checkpoint that many files (one per
-        block). A memory pin whose row count was unknown (a derived input,
-        or a fit on the input itself) is coalesced after it is taken.
+        at most that many blocks and a checkpoint writes at most that many
+        files (one per block). The checkpoint's files are sized, not the
+        blocks its fits read: ``read_parquet`` splits the files again on
+        the way back. A memory pin whose row count was unknown (a derived
+        input, or a fit on the input itself) is coalesced after it is
+        taken.
         """
         if not isinstance(data, Ingredients):
             from recipys_ray.ingredients import as_dataset
