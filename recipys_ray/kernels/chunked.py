@@ -21,8 +21,11 @@ under extreme skew. This module bounds every task by the salt chunk size:
    the broadcast prefix states (``Step.apply_chunk_prefix``). No second
    payload shuffle, no sort-alignment merge, no whole-group task.
 
-Falls back to the legacy whole-group carry path when any step is not
-``chunk_mergeable`` (MEDIAN, backward fill, lead, fill limits, …).
+The salted routes here (``salted_chunked``, ``salted_grid``,
+``salted_grid_chain``) are picked by kernels/salted.py ``route_chain`` and
+entered after its one prologue (hot groups, ``SaltedStamp``) with a
+``SaltedInput``; a chain with a step that is not ``chunk_mergeable``
+(MEDIAN, fill limits, …) takes the legacy whole-group carry instead.
 """
 
 from __future__ import annotations
@@ -44,14 +47,8 @@ from recipys_ray.kernels.grouped import (
     assign_gid,
     exchange,
     plan_exchange,
-    run_grouped_chain,
 )
-from recipys_ray.kernels.salted import (
-    SALT,
-    SaltedStamp,
-    _hot_mask,
-    find_hot_groups,
-)
+from recipys_ray.kernels.salted import SALT, SaltedInput, _hot_mask
 
 GLOBAL_GROUP = "__global_g__"
 
@@ -682,14 +679,13 @@ def _chunk_main_pass(stamped, group_cols, sort_cols, stages, levels,
 
 
 def run_salted_resample_grid(
-    ds,
+    inp: SaltedInput,
     group_cols: list[str],
     sort_cols: list[str],
-    step,
-    num_partitions: int,
-    salt,
+    steps: Sequence,
 ):
-    """Grid-mode resampling over salted mega-groups — bounded tasks.
+    """Grid-mode resampling over salted mega-groups (route
+    ``salted_grid``: ``steps`` is the resample alone) — bounded tasks.
 
     Grid semantics (steps/resample.py): per group, slots at
     ``gmin + k·res``; keep the first original row landing exactly on a
@@ -700,64 +696,50 @@ def run_salted_resample_grid(
     forward-fills seeded with the carry (:func:`_resample_partition_frame`);
     cold groups run the ordinary whole-group kernel. Every task bounded by
     chunk span (+ its share of the slot grid)."""
-    plan = plan_exchange(ds, num_partitions)
-    hot = find_hot_groups(ds, group_cols, salt.threshold)
-    if not hot:
-        return run_grouped_chain(
-            ds, group_cols, sort_cols, [step], num_partitions=num_partitions
-        )
-    hot_keys = set(hot)
-    stamp = SaltedStamp(
-        group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
-    )
-    stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
-    )
+    (step,) = steps
+    plan = inp.plan
     seq = step._seq_col
     last_cols = [
         c for c, acc in step._col_acc.items() if acc.value == "last"
     ]
     kcols = group_cols + [SALT]
     hot_skinny = _pick_hot_skinny(
-        stamped, list(dict.fromkeys(kcols + sort_cols + [seq] + last_cols
-                                    + [PART])),
-        group_cols, hot_keys,
+        inp.stamped, list(dict.fromkeys(kcols + sort_cols + [seq] + last_cols
+                                        + [PART])),
+        group_cols, inp.stamp.hot_keys,
     )
 
     prefix, res_i, unit = _grid_prefix_pass(
-        hot_skinny, step, group_cols, sort_cols, salt.chunk_span, plan
+        hot_skinny, step, group_cols, sort_cols, inp.salt.chunk_span, plan
     )
     prefix_ref = ray.put(prefix)
-    runner_group_cols = list(group_cols)
-    runner_sort = list(sort_cols)
 
     # ---- main pass --------------------------------------------------- #
     def run_partition(tbl: pa.Table) -> pa.Table:
         pref = ray.get(prefix_ref)
         if PART in tbl.column_names:
             tbl = tbl.drop_columns([PART])
-        by = kcols + runner_sort
+        by = kcols + sort_cols
         idx = pc.sort_indices(tbl, sort_keys=[(c, "ascending") for c in by])
         pdf = tbl.take(idx).to_pandas()
         out = _resample_partition_frame(
-            pdf, pref, step, runner_group_cols, res_i, unit
+            pdf, pref, step, group_cols, res_i, unit
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
     return exchange(
-        stamped, PART, run_partition, num_partitions, plan.blocks
+        inp.stamped, PART, run_partition, plan.partitions, plan.blocks
     )
 
 
 def run_salted_resample_chain(
-    ds,
+    inp: SaltedInput,
     group_cols: list[str],
     sort_cols: list[str],
     steps: Sequence,
-    num_partitions: int,
-    salt,
 ):
-    """Fused salted resample→chain execution: ONE payload shuffle total.
+    """Fused salted resample→chain execution (route
+    ``salted_grid_chain``): ONE payload shuffle total.
 
     ``steps[0]`` is a grid-mode resample (row-count changing), ``steps[1:]``
     are chunk-mergeable grouped steps. The two-shuffle split (grid resample,
@@ -773,21 +755,7 @@ def run_salted_resample_chain(
     precedes), the fold stays O(#hot chunks), and raw payload moves exactly
     once."""
     head_step, tail = steps[0], list(steps[1:])
-    plan = plan_exchange(ds, num_partitions)
-    hot = find_hot_groups(ds, group_cols, salt.threshold)
-    if not hot:
-        return run_grouped_chain(
-            ds, group_cols, sort_cols, list(steps),
-            num_partitions=num_partitions,
-        )
-    hot_keys = set(hot)
-    stamp = SaltedStamp(
-        group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
-    )
-    stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
-    )
-
+    plan = inp.plan
     seq = head_step._seq_col
     last_cols = [
         c for c, acc in head_step._col_acc.items() if acc.value == "last"
@@ -799,22 +767,24 @@ def run_salted_resample_chain(
     # downstream state pass: union of both column footprints
     probe = _ChunkedRunner(group_cols, sort_cols, stages, levels, {})
     hot_skinny = _pick_hot_skinny(
-        stamped, list(dict.fromkeys(
+        inp.stamped, list(dict.fromkeys(
             [c for c in probe.needed if c != GID]
             + [seq] + last_cols + [PART]
         )),
-        group_cols, hot_keys,
+        group_cols, inp.stamp.hot_keys,
     )
 
     prefix, res_i, unit = _grid_prefix_pass(
-        hot_skinny, head_step, group_cols, sort_cols, salt.chunk_span, plan
+        hot_skinny, head_step, group_cols, sort_cols,
+        inp.salt.chunk_span, plan,
     )
     head = _GridHead(ray.put(prefix), head_step, group_cols, res_i, unit)
     prefixes = _chunk_state_prefixes(
         hot_skinny, group_cols, sort_cols, stages, levels, plan, head
     )
     return _chunk_main_pass(
-        stamped, group_cols, sort_cols, stages, levels, prefixes, plan, head
+        inp.stamped, group_cols, sort_cols, stages, levels, prefixes, plan,
+        head,
     )
 
 
@@ -930,54 +900,35 @@ def _parity_prepass(hot_skinny, all_counts, group_cols, parity_steps):
 
 
 def run_salted_chunked(
-    ds,
+    inp: SaltedInput,
     group_cols: list[str],
     sort_cols: list[str],
     steps: Sequence,
-    num_partitions: int,
-    salt,
 ):
-    """Salted grouped chain with chunk-local execution (module docstring).
-    Caller guarantees every step is grouped + chunk_mergeable."""
-    plan = plan_exchange(ds, num_partitions)
+    """Salted grouped chain with chunk-local execution (route
+    ``salted_chunked``, module docstring): every step is grouped and
+    chunk_mergeable."""
+    plan = inp.plan
     parity_steps = [
         s for s in steps if getattr(s, "_parity_chunked", False)
     ]
-    if parity_steps:
-        hot, all_counts = find_hot_groups(
-            ds, group_cols, salt.threshold, return_all_counts=True
-        )
-    else:
-        hot = find_hot_groups(ds, group_cols, salt.threshold)
-        all_counts = None
-    if not hot:
-        return run_grouped_chain(
-            ds, group_cols, sort_cols, steps, num_partitions=num_partitions
-        )
-    hot_keys = set(hot)
-    stamp = SaltedStamp(
-        group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
-    )
-    stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
-    )
-
     stages = [GroupedStage(s) for s in steps]
     levels = step_levels(steps)
 
     # skinny hot subset, reused by every state pass
     probe = _ChunkedRunner(group_cols, sort_cols, stages, levels, {})
     hot_skinny = _pick_hot_skinny(
-        stamped, [c for c in dict.fromkeys(probe.needed + [PART]) if c != GID],
-        group_cols, hot_keys,
+        inp.stamped,
+        [c for c in dict.fromkeys(probe.needed + [PART]) if c != GID],
+        group_cols, inp.stamp.hot_keys,
     )
 
     if parity_steps:
-        _parity_prepass(hot_skinny, all_counts, group_cols, parity_steps)
+        _parity_prepass(hot_skinny, inp.counts, group_cols, parity_steps)
 
     prefixes = _chunk_state_prefixes(
         hot_skinny, group_cols, sort_cols, stages, levels, plan
     )
     return _chunk_main_pass(
-        stamped, group_cols, sort_cols, stages, levels, prefixes, plan
+        inp.stamped, group_cols, sort_cols, stages, levels, prefixes, plan
     )

@@ -551,18 +551,17 @@ def run_grouped_chain(
     """
     p = num_partitions or choose_partitions(ds)
     if not group_cols:
-        if (
-            sort_cols
-            and p > 1
-            and all(getattr(s, "chunk_mergeable", False) for s in steps)
-        ):
+        from recipys_ray.kernels.salted import route_chain
+
+        route = route_chain(steps, group_cols, sort_cols, None, p)
+        if route.name == "global_chunked":
             # global order-dependent chain, parallelized: range-chunk on the
             # first sort column + driver-folded carry states — the whole
             # dataset is one mega-group (kernels/chunked.py)
             from recipys_ray.kernels.chunked import run_global_chunked
 
             return run_global_chunked(ds, sort_cols, steps, num_partitions=p)
-        # non-mergeable global chain: single partition (a global sequential
+        # any other global chain: single partition (a global sequential
         # scan of e.g. an expanding MEDIAN is inherently serial)
         p = 1
     plan = plan_exchange(ds, p)

@@ -1,4 +1,5 @@
-"""Skew handling: salted sub-partitioning for mega-groups.
+"""Skew handling: salted sub-partitioning for mega-groups, and the one
+route policy of every fused grouped chain.
 
 A hash-partitioned grouped scan (kernels/grouped.py) is skew-bounded by the
 largest single group: one 10⁸-turn conversation would blow the memory budget
@@ -13,23 +14,53 @@ of whichever partition its hash lands in. This module bounds that:
    partition stays bounded by ``chunk_span``, not by group size. A
    ``__salt__`` column keeps chunk identity (two chunks of one group that
    collide into the same partition must not be treated as contiguous).
-3. **Execute** — when every step supports the chunk-merge protocol, the
-   chunk-local path runs (kernels/chunked.py: per-chunk carry states →
-   driver fold → in-place prefix correction; ONE payload shuffle, every
-   task bounded by the chunk span). Otherwise this module's LEGACY path
-   runs: exact features for each hot group in one task over a SKINNY
-   projection (group/sort/kernel columns only), merged back into the
-   salted main pass by a ``groupby((group, salt))`` sort alignment —
-   correct but bounded by the largest group, kept as the fallback for
-   MEDIAN / time-windowed rolling / fill limits on the legacy protocol.
+3. **Route** — :func:`route_chain` is the one route policy of a fused
+   grouped chain, read from the steps' declared flags. ``Recipe._walk``
+   asks it once per grouped stage, for ``_stage`` and ``explain()``;
+   :func:`run_salted_chain` and ``run_grouped_chain``'s no-group branch
+   dispatch on it. PS counts the payload shuffles, the exchanges that move
+   every row (``explain()``'s total). A salted route needs a ``SaltConfig``,
+   group and sort columns, and projected steps (no whole-frame or
+   row-count-changing step but a grid-resample head):
 
-Salted ≡ unsalted is property-tested for BOTH paths (tests/test_salted.py)
-and driver-verified (historical_salted query).
+   ==================  ==  =================================================
+   route               PS  when → entry point
+   ==================  ==  =================================================
+   grouped              1  group columns → grouped.run_grouped_chain
+   combined             1  agg-mode resample head → ``pre_aggregate_batch``
+                           per block, then run_grouped_chain
+   serial               1  no group columns, a step not chunk-mergeable or
+                           P = 1 → run_grouped_chain in one partition
+   global_chunked       1  no group columns, sort columns, every step
+                           chunk-mergeable → chunked.run_global_chunked
+   salted_chunked       1  every step chunk-mergeable →
+                           chunked.run_salted_chunked
+   salted_carry         1  any other projected chain → run_salted_carry
+   salted_grid          1  a lone grid resample →
+                           chunked.run_salted_resample_grid
+   salted_grid_chain    1  grid head, tail chunk-mergeable and not duckdb
+                           parity → chunked.run_salted_resample_chain
+   salted_grid_split    2  grid head, any other projected tail →
+                           salted_grid, then the tail re-routed
+   ==================  ==  =================================================
+
+4. **Execute** — the salted routes share one prologue (hot groups, then
+   :class:`SaltedStamp`; with no hot group the chain runs unsalted). The
+   chunk-local routes (kernels/chunked.py) bound every task by the chunk
+   span. :func:`run_salted_carry` computes each hot group exactly in one
+   task over a SKINNY projection and merges it back into the salted main
+   pass by a ``groupby((group, salt))`` sort alignment — bounded by the
+   largest group, capped by ``SaltConfig.max_carry_rows``.
+
+Salted ≡ unsalted is property-tested for every salted route
+(tests/test_salted.py) and driver-verified (historical_salted query);
+tests/test_exchange_plan.py checks that each route ``explain()`` names is
+the entry point ``prep()`` runs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -38,13 +69,16 @@ import pyarrow as pa
 from recipys_ray.kernels.grouped import (
     PART,
     SRC,
+    ExchangePlan,
     GroupedStage,
+    _lazy_size_bytes,
     _PartitionRunner,
     exchange,
     hash_part,
     key_frame,
     partitioned_groupby_map,
     plan_exchange,
+    run_grouped_chain,
     stamp_union,
 )
 
@@ -78,7 +112,6 @@ class SaltConfig:
 # --------------------------------------------------------------------- #
 def find_hot_groups(
     ds, group_cols: list[str], threshold: int,
-    block_floor: Optional[int] = None,
     driver_merge_cap: int = 20_000_000,
     return_all_counts: bool = False,
 ) -> dict:
@@ -90,9 +123,7 @@ def find_hot_groups(
     ever reach the driver. An earlier per-block floor heuristic missed
     mega-groups whose rows are scattered across blocks (each block's share
     under the floor) — a real failure mode on shuffled 100-TB layouts.
-    ``block_floor`` is retained for API compatibility and ignored.
     """
-    _ = block_floor
     cols = list(group_cols)
 
     def partial(tbl: pa.Table) -> pa.Table:
@@ -170,10 +201,12 @@ class SaltedStamp:
         self.hot_keys = hot_keys
         self.chunk_span = chunk_span
 
-    def _salt_values(self, tbl: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        """(is_hot bool mask, salt int64 per row)."""
-        pdf = key_frame(tbl, self.group_cols)
-        hot = _hot_mask_pdf(pdf, self.group_cols, self.hot_keys)
+    def _salt_values(
+        self, tbl: pa.Table, keys: pd.DataFrame
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(is_hot bool mask, salt int64 per row); ``keys`` is the table's
+        :func:`key_frame`."""
+        hot = _hot_mask_pdf(keys, self.group_cols, self.hot_keys)
         sv = tbl.column(self.salt_col)
         if pa.types.is_timestamp(sv.type) or pa.types.is_duration(sv.type):
             sv = sv.cast(pa.int64())
@@ -184,7 +217,7 @@ class SaltedStamp:
     def __call__(self, tbl: pa.Table) -> pa.Table:
         pdf = key_frame(tbl, self.group_cols)
         part = hash_part(pdf, self.group_cols, self.p)
-        hot, salt = self._salt_values(tbl)
+        hot, salt = self._salt_values(tbl, pdf)
         if hot.any():
             pdf2 = pdf.loc[hot].copy()
             pdf2[SALT] = salt[hot]
@@ -212,6 +245,69 @@ def _hot_mask(tbl: pa.Table, group_cols: list[str], hot_keys: set) -> np.ndarray
     return _hot_mask_pdf(tbl.select(group_cols).to_pandas(), group_cols, hot_keys)
 
 
+class Route(NamedTuple):
+    """How a fused grouped chain runs (:func:`route_chain`, the module
+    docstring's table)."""
+
+    name: str
+    # the exchanges that move every row of the chain's input
+    payload_shuffles: int = 1
+
+    @property
+    def salted(self) -> bool:
+        return self.name.startswith("salted")
+
+
+def route_chain(
+    steps: Sequence,
+    group_cols: Sequence[str],
+    sort_cols: Sequence[str],
+    salt: Optional[SaltConfig],
+    partitions: Optional[int] = None,
+) -> Route:
+    """The route of a fused chain of grouped ``steps`` over ``group_cols``
+    and ``sort_cols`` with an optional ``salt``, from the steps' declared
+    flags only: nothing runs. ``partitions`` is the exchange's partition
+    count; None means sized from the data (:func:`choose_partitions`, at
+    least 2 × CPUs)."""
+    head, tail = steps[0], list(steps[1:])
+    projected = [not (s.frame_needs_all or s.changes_rowcount) for s in steps]
+    mergeable = [getattr(s, "chunk_mergeable", False) for s in steps]
+    if salt is not None and group_cols and sort_cols:
+        if getattr(head, "salt_grid_capable", False) and all(projected[1:]):
+            if not tail:
+                return Route("salted_grid")
+            if all(mergeable[1:]) and not any(
+                getattr(s, "_parity_chunked", False) for s in tail
+            ):
+                return Route("salted_grid_chain")
+            return Route("salted_grid_split", 2)
+        if all(projected) and all(mergeable):
+            return Route("salted_chunked")
+        if all(projected):
+            return Route("salted_carry")
+    if getattr(head, "combinable", False):
+        return Route("combined")
+    if group_cols:
+        return Route("grouped")
+    if sort_cols and (partitions is None or partitions > 1) and all(mergeable):
+        return Route("global_chunked")
+    return Route("serial")
+
+
+class SaltedInput(NamedTuple):
+    """A salted route's input after the shared prologue of
+    :func:`run_salted_chain`."""
+
+    ds: object  # the chain's input, pinned unless a pure read
+    salt: SaltConfig
+    plan: ExchangePlan  # the main exchange's sizing
+    hot: dict  # hot group key → rows
+    stamp: SaltedStamp
+    stamped: object  # ``ds`` with the stamp's PART and SALT columns
+    counts: Optional[dict]  # every group's rows, for a duckdb-parity chain
+
+
 def run_salted_chain(
     ds,
     group_cols: list[str],
@@ -220,91 +316,84 @@ def run_salted_chain(
     num_partitions: int,
     salt: SaltConfig,
 ):
-    """Grouped chain with mega-group salting (see module docstring).
+    """Grouped chain with mega-group salting: the salted routes of
+    :func:`route_chain` behind one prologue (module docstring). A chain
+    that routes unsalted raises."""
+    route = route_chain(steps, group_cols, sort_cols, salt, num_partitions)
+    if not route.salted:
+        raise ValueError(
+            f"Salted execution needs group and sort columns and projected "
+            f"kernels (row-count changing or whole-frame steps can't "
+            f"chunk-merge; only a grid resample may head the chain); this "
+            f"chain routes to {route.name!r}: run without salting."
+        )
 
-    When EVERY step supports the chunk-merge protocol, execution routes to
-    the chunk-local path (kernels/chunked.py): per-chunk states + driver
-    fold + in-place prefix correction — every task bounded by the chunk
-    span, one payload shuffle total. Otherwise this legacy whole-group
-    carry path runs (exact, but each mega-group whole in one task on the
-    skinny projection)."""
-    from recipys_ray.kernels.grouped import _lazy_size_bytes
-
-    # The salted machinery is MULTI-PASS by construction (hot-group
-    # detection, chunk counts, state passes, the payload exchange). Pin the
-    # input once so those passes don't re-execute the upstream pipeline
-    # per pass — same policy as the recipe's fit flush; the object store
-    # spills rather than holding it in heap. Pure reads (size knowable
-    # from plan metadata) skip the pin: re-reading pruned parquet per pass
-    # is cheaper than writing a spill copy first. (Round-4 perf silently
-    # relied on choose_partitions' eager size_bytes() materializing
-    # derived inputs; this makes the pin explicit — measured 8.3 s → 3.6 s
-    # on the sf0.1 salted query after size_bytes went metadata-only.)
+    # Every salted route is MULTI-PASS (hot-group detection, state passes,
+    # the payload exchange): pin a derived input once so the passes don't
+    # re-execute its upstream — the fit flush's policy; the object store
+    # spills rather than holding it in heap. A pure read (size known from
+    # plan metadata) is re-read per pass instead, which is cheaper than
+    # writing a spill copy first (the explicit pin measured 8.3 s → 3.6 s
+    # on the sf0.1 salted query).
     if _lazy_size_bytes(ds) is None:
         ds = ds.materialize()
 
-    if getattr(steps[0], "salt_grid_capable", False):
-        from recipys_ray.kernels.chunked import (
-            run_salted_resample_chain,
-            run_salted_resample_grid,
-        )
-
-        if len(steps) == 1:
-            return run_salted_resample_grid(
-                ds, group_cols, sort_cols, steps[0],
-                num_partitions=num_partitions, salt=salt,
-            )
-        tail_mergeable = all(
-            getattr(s, "chunk_mergeable", False)
-            and not getattr(s, "_parity_chunked", False)
-            for s in steps[1:]
-        )
-        if tail_mergeable:
-            # fused single-payload-shuffle path: the chunk runner rebuilds
-            # each chunk's resampled rows (grid head) before measuring /
-            # correcting the downstream chunk states
-            return run_salted_resample_chain(
-                ds, group_cols, sort_cols, steps,
-                num_partitions=num_partitions, salt=salt,
-            )
-        # non-mergeable (or duckdb-parity) tail: bounded grid resample
-        # first, then re-salt the tail over the RESAMPLED rows (hot-group
-        # detection re-runs — resampling changes row counts). Two bounded
-        # payload shuffles.
-        mid = run_salted_resample_grid(
-            ds, group_cols, sort_cols, steps[0],
+    if route.name == "salted_grid_split":
+        # bounded grid resample first, then the tail re-routed over the
+        # RESAMPLED rows (hot-group detection re-runs — resampling changes
+        # row counts). Two bounded payload shuffles.
+        mid = run_salted_chain(
+            ds, group_cols, sort_cols, list(steps[:1]),
             num_partitions=num_partitions, salt=salt,
         )
         return run_salted_chain(
             mid, group_cols, sort_cols, list(steps[1:]),
             num_partitions=num_partitions, salt=salt,
         )
-    stages = [GroupedStage(s) for s in steps]
-    if any(st.needs_all for st in stages):
-        raise ValueError(
-            "Salted execution supports projected kernels only (row-count "
-            "changing or whole-frame steps can't chunk-merge); run without "
-            "salting."
-        )
-    if all(getattr(s, "chunk_mergeable", False) for s in steps):
-        from recipys_ray.kernels.chunked import run_salted_chunked
+    from recipys_ray.kernels import chunked
 
-        return run_salted_chunked(
-            ds, group_cols, sort_cols, steps,
-            num_partitions=num_partitions, salt=salt,
-        )
-    hot = find_hot_groups(ds, group_cols, salt.threshold)
+    body = {
+        "salted_chunked": chunked.run_salted_chunked,
+        "salted_carry": run_salted_carry,
+        "salted_grid": chunked.run_salted_resample_grid,
+        "salted_grid_chain": chunked.run_salted_resample_chain,
+    }[route.name]
+
+    # the prologue: hot groups, then the salted stamp of the main exchange;
+    # the duckdb-parity pre-pass reuses the detection's count of every group
+    parity = route.name == "salted_chunked" and any(
+        getattr(s, "_parity_chunked", False) for s in steps)
+    found = find_hot_groups(ds, group_cols, salt.threshold,
+                            return_all_counts=parity)
+    hot, counts = found if parity else (found, None)
     if not hot:
-        from recipys_ray.kernels.grouped import run_grouped_chain
-
         return run_grouped_chain(
-            ds, group_cols, sort_cols, steps,
-            num_partitions=num_partitions,
+            ds, group_cols, sort_cols, steps, num_partitions=num_partitions
         )
+    stamp = SaltedStamp(
+        group_cols, sort_cols, num_partitions, set(hot), salt.chunk_span
+    )
+    plan = plan_exchange(ds, num_partitions)
+    stamped = ds.map_batches(
+        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
+    )
+    return body(SaltedInput(ds, salt, plan, hot, stamp, stamped, counts),
+                group_cols, sort_cols, steps)
 
-    cap = getattr(salt, "max_carry_rows", None)
+
+def run_salted_carry(
+    inp: SaltedInput,
+    group_cols: list[str],
+    sort_cols: list[str],
+    steps: Sequence,
+):
+    """The legacy whole-group carry (route ``salted_carry``): a salted main
+    pass, exact features for each hot group in one task over the skinny
+    projection, and a sort-aligned merge of the two. Raises when a hot
+    group has more rows than ``SaltConfig.max_carry_rows``."""
+    cap = getattr(inp.salt, "max_carry_rows", None)
     if cap is not None:
-        biggest_key, biggest = max(hot.items(), key=lambda kv: kv[1])
+        biggest_key, biggest = max(inp.hot.items(), key=lambda kv: kv[1])
         if biggest > cap:
             nonmerge = [
                 type(s).__name__ for s in steps
@@ -322,14 +411,9 @@ def run_salted_chain(
                 f"with StepHistorical(approx_median_chunked=True)."
             )
 
-    hot_keys = set(hot)
-    stamp = SaltedStamp(
-        group_cols, sort_cols, num_partitions, hot_keys, salt.chunk_span
-    )
-    plan = plan_exchange(ds, num_partitions)
-    stamped = ds.map_batches(
-        stamp, batch_format="pyarrow", batch_size=plan.stamp_rows
-    )
+    stages = [GroupedStage(s) for s in steps]
+    hot_keys = inp.stamp.hot_keys
+    num_partitions = inp.plan.partitions
 
     # main pass: group identity includes the salt, so a chunk never sees
     # another chunk's rows; hot-chunk feature values are placeholders
@@ -342,15 +426,11 @@ def run_salted_chain(
     # its schema is needed for the union — one pinned copy beats re-running
     # the whole shuffle per consumer
     main_out = exchange(
-        stamped, PART, run_partition, num_partitions, plan.blocks
+        inp.stamped, PART, run_partition, num_partitions, inp.plan.blocks
     ).materialize()
 
     # carry pass: exact features for hot groups on the skinny projection
-    feature_cols: list[str] = []
-    for st in stages:
-        for c in st.outputs:
-            if c not in feature_cols:
-                feature_cols.append(c)
+    feature_cols = list(dict.fromkeys(c for st in stages for c in st.outputs))
     needed = list(
         dict.fromkeys(
             [c for st in stages for c in st.inputs] + group_cols + sort_cols
@@ -367,10 +447,11 @@ def run_salted_chain(
         out = conv_runner(tbl)
         keep = list(dict.fromkeys(group_cols + sort_cols + feature_cols))
         out = out.select([c for c in keep if c in out.column_names])
-        return out.append_column(SALT, pa.array(stamp._salt_values(out)[1]))
+        salt_values = inp.stamp._salt_values(out, key_frame(out, group_cols))
+        return out.append_column(SALT, pa.array(salt_values[1]))
 
     carry = partitioned_groupby_map(
-        ds.map_batches(pick_hot, batch_format="pyarrow"), group_cols,
+        inp.ds.map_batches(pick_hot, batch_format="pyarrow"), group_cols,
         carry_partition, num_partitions, batch_format="pyarrow",
     )
 

@@ -8,7 +8,9 @@ with a physical planner designed for Ray Data's streaming executor:
 - Consecutive **grouped** (order-dependent) steps sharing the same
   (group, sequence) key fuse into ONE hash-partition + sorted-scan shuffle
   (kernels/grouped.py) — the flagship pipeline (ffill → historical × k →
-  lag → sessionize) costs a single all-to-all exchange.
+  lag → sessionize) costs a single all-to-all exchange. The planner walk
+  asks ``kernels/salted.py::route_chain`` once per grouped stage how it
+  runs (salted or not); ``prep()`` dispatches on it, ``explain()`` prints it.
 - Fitted steps fit in **groups that share one pin**. The first fit of a
   group flushes the pipeline and materializes it once (so the fit
   aggregates and the downstream transform don't recompute the upstream),
@@ -39,7 +41,14 @@ from typing import Optional, Union
 import pyarrow as pa
 
 from recipys_ray.ingredients import Ingredients
-from recipys_ray.kernels.grouped import plan_pin, run_grouped_chain, size_pin
+from recipys_ray.kernels.grouped import (
+    choose_partitions,
+    plan_exchange,
+    plan_pin,
+    run_grouped_chain,
+    size_pin,
+)
+from recipys_ray.kernels.salted import route_chain
 from recipys_ray.steps.base import Step
 
 
@@ -108,11 +117,9 @@ class Recipe:
         batch chain that feeds the pin runs in batches of ⌈rows / that
         bound⌉ when its input's row count is known, so a memory pin holds
         at most that many blocks and a checkpoint writes at most that many
-        files (one per block). The checkpoint's files are sized, not the
-        blocks its fits read: ``read_parquet`` splits the files again on
-        the way back. A memory pin whose row count was unknown (a derived
-        input, or a fit on the input itself) is coalesced after it is
-        taken.
+        files (one per block), read back as one block per file. A memory
+        pin whose row count was unknown (a derived input, or a fit on the
+        input itself) is coalesced after it is taken.
         """
         if not isinstance(data, Ingredients):
             from recipys_ray.ingredients import as_dataset
@@ -195,8 +202,9 @@ class Recipe:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _disk_checkpoint(ds):
-        """Write the pipeline-so-far to parquet and stream it back — pins
-        nothing in the object store; fit passes re-read the artifact."""
+        """Write the pipeline-so-far to parquet and stream it back, one
+        block per file written — pins nothing in the object store; fit
+        passes re-read the artifact."""
         import os
         import uuid
 
@@ -206,7 +214,8 @@ class Recipe:
         path = os.path.join(root, uuid.uuid4().hex)
         os.makedirs(path, exist_ok=True)
         ds.write_parquet(path)
-        return rd.read_parquet(path)
+        files = sum(f.endswith(".parquet") for f in os.listdir(path))
+        return rd.read_parquet(path, override_num_blocks=files or None)
 
     def _pin(self, ds):
         """Pin the pipeline so far for a fit group (``materialize_before_fit``)."""
@@ -222,12 +231,14 @@ class Recipe:
         run and the plan cannot drift. Resolves and expands the steps in
         order and yields the physical events:
 
-        - ``("stage", steps, mode, chain_key, sizes)``: one fused
+        - ``("stage", steps, mode, chain_key, sizes, route)``: one fused
           ``map_batches`` chain (mode "batch") or one grouped shuffle over
           ``steps``. ``sizes`` is n when the stage is a row-preserving
           batch chain whose output becomes pin #n (memory or disk): it
           emits at most the pin's block bound (:func:`plan_pin`), else
-          None;
+          None. ``route`` is a grouped stage's
+          ``kernels/salted.py::Route``, decided here once for the run and
+          the plan; None for a batch chain;
         - ``("pin", step, n)``: pin the pipeline so far as pin #n, then fit
           ``step`` on it;
         - ``("shared", step, n)``: fit ``step`` on pin #n as it stands — the
@@ -254,7 +265,9 @@ class Recipe:
             sizes = pin if mode == "batch" and all(
                 s.keeps_rows and not s.changes_rowcount for s in pending
             ) else None
-            stage = ("stage", pending, mode, chain_key, sizes)
+            route = None if mode == "batch" else route_chain(
+                pending, *chain_key, self.salt, self.partitions)
+            stage = ("stage", pending, mode, chain_key, sizes, route)
             pending, mode, chain_key, pinned = [], None, None, False
             return [stage]
 
@@ -307,47 +320,25 @@ class Recipe:
         yield from flush()
 
     def _stage(self, ds, steps: list[Step], mode: str, chain_key,
-               sizes: Optional[int]):
-        """Emit one physical stage: a fused batch chain or a grouped
-        shuffle (salted when the recipe has a SaltConfig). A batch chain
-        that ``sizes`` a pin runs in batches that give the pin's block
-        count when the plan knows its input rows (:func:`plan_pin`)."""
+               sizes: Optional[int], route):
+        """Emit one physical stage: a fused batch chain, or a grouped
+        shuffle on the ``route`` :meth:`_walk` chose. A batch chain that
+        ``sizes`` a pin runs in batches that give the pin's block count
+        when the plan knows its input rows (:func:`plan_pin`)."""
         if mode == "batch":
             plan = plan_pin(ds) if sizes else None
             return ds.map_batches(_BatchChain(steps), batch_format="pyarrow",
                                   batch_size=plan[0] if plan else None)
-        group_cols, sort_cols = chain_key
-        clean_tail = not any(
-            s.frame_needs_all or s.changes_rowcount for s in steps[1:]
-        )
-        grid_head = getattr(steps[0], "salt_grid_capable", False) and clean_tail
-        saltable = (
-            self.salt is not None
-            and group_cols
-            and sort_cols
-            and (
-                not any(s.frame_needs_all or s.changes_rowcount for s in steps)
-                or grid_head
-            )
-        )
-        if saltable:
-            from recipys_ray.kernels.grouped import choose_partitions
+        group_cols, sort_cols = map(list, chain_key)
+        if route.salted:
             from recipys_ray.kernels.salted import run_salted_chain
 
-            # run_salted_chain owns the grid-head policy: a resample head
-            # with an all-chunk-mergeable tail runs the FUSED
-            # single-payload-shuffle path (resampled-row state passes,
-            # kernels/chunked.py); a non-mergeable tail splits into grid
-            # resample + re-salted tail.
             return run_salted_chain(
-                ds,
-                list(group_cols),
-                list(sort_cols),
-                steps,
+                ds, group_cols, sort_cols, steps,
                 num_partitions=self.partitions or choose_partitions(ds),
                 salt=self.salt,
             )
-        if getattr(steps[0], "combinable", False):
+        if route.name == "combined":
             # shuffle combiner (e.g. agg-mode resampling): one partial row
             # per (group, bucket) leaves each read block; the in-partition
             # kernel merges partials — partition memory bounds at #buckets,
@@ -356,11 +347,7 @@ class Recipe:
                 steps[0].pre_aggregate_batch, batch_format="pyarrow"
             )
         return run_grouped_chain(
-            ds,
-            list(group_cols),
-            list(sort_cols),
-            steps,
-            num_partitions=self.partitions,
+            ds, group_cols, sort_cols, steps, num_partitions=self.partitions
         )
 
     def _run(self, ing: Ingredients, refit: bool):
@@ -384,11 +371,11 @@ class Recipe:
         """Physical-plan preview WITHOUT executing anything: how steps fuse
         into map_batches chains and grouped shuffles, where fit flushes pin
         the pipeline, how the batch chain feeding a pin sizes it, which fits
-        share a pin, and how salting routes. Walks the steps with
-        ``_run``'s own planner (:meth:`_walk`); one line per physical stage
-        or fit."""
-        from recipys_ray.kernels.grouped import plan_exchange
-
+        share a pin, and the route each grouped shuffle takes
+        (``kernels/salted.py::route_chain``: ``[salted]`` marks a salted
+        route). Walks the steps with ``_run``'s own planner (:meth:`_walk`),
+        so a shuffle's line names the route ``prep()`` runs; one line per
+        physical stage or fit, and the total of payload shuffles last."""
         ing = self._check_data(data)
         lines: list[str] = []
         n_shuffles = 0
@@ -402,9 +389,10 @@ class Recipe:
                "disk": "parquet checkpoint"}.get(
                    self.materialize_before_fit, "no pin")
 
-        def sizing(src, group, sort, steps, p=None) -> tuple:
-            """(partition count or None, text) of one exchange over src."""
-            p = p or self.partitions
+        def sizing(src, serial: bool, p=None) -> tuple:
+            """(partition count or None, text) of one exchange over src;
+            a ``serial`` one runs in one partition."""
+            p = 1 if serial else p or self.partitions
             if src is pinned:
                 return p, (
                     (f"partitions={p}" if p else
@@ -412,27 +400,14 @@ class Recipe:
                     + ", stamp blocks sized from the pinned data"
                 )
             plan = plan_exchange(src, p)
-            if not group and not (
-                sort and plan.partitions > 1
-                and all(getattr(st, "chunk_mergeable", False)
-                        for st in steps)
-            ):
-                plan = plan_exchange(src, 1)  # one serial partition
             return plan.partitions, (
                 f"partitions={plan.partitions}, stamp blocks="
                 f"{plan.blocks or '? (rows unknown)'}"
             )
 
-        def stage(steps, mode, chain_key, sizes):
-            nonlocal n_shuffles, source
+        def stage(steps, mode, chain_key, sizes, route):
+            nonlocal n_shuffles
             names = [type(st).__name__ for st in steps]
-            head_grid = (
-                getattr(steps[0], "salt_grid_capable", False)
-                and not any(
-                    st.frame_needs_all or st.changes_rowcount
-                    for st in steps[1:]
-                )
-            )
             if mode == "batch":
                 fused = f"fused x{len(steps)}"
                 if sizes:
@@ -441,53 +416,42 @@ class Recipe:
                     fused += (f"; sizes pin #{sizes}: {plan[1]} blocks"
                               if plan else f"; pin #{sizes} sized at run time")
                 lines.append(f"map_batches ({fused}): " + " -> ".join(names))
-            else:
-                g, s = chain_key
-                salted = self.salt is not None and g and s
-                tag = " [salted]" if salted else ""
-                tail_mergeable = all(
-                    getattr(st, "chunk_mergeable", False)
-                    and not getattr(st, "_parity_chunked", False)
-                    for st in steps[1:]
+                return
+            g, s = chain_key
+            # a combined chain shuffles the partial-aggregate stage's output;
+            # run_grouped_chain runs a chain without group columns in one
+            # partition unless it chunks globally
+            p, size = sizing(None if route.name == "combined" else source,
+                             not g and route.name != "global_chunked")
+            tag = " [salted]" if route.salted else ""
+            head = (f"grouped shuffle #{n_shuffles + 1}{tag} (route "
+                    f"{route.name}; group={list(g)}, sort={list(s)}; ")
+            if route.name == "salted_grid_split":
+                # two bounded salted shuffles: the grid resample, then the
+                # tail re-routed over the resampled rows
+                tail = route_chain(steps[1:], g, s, self.salt, self.partitions)
+                lines.append(
+                    f"{head}{size}): {names[0]} (grid slot-ownership chunks)"
                 )
-                if not salted and getattr(steps[0], "combinable", False):
-                    source = None  # the partial-aggregate stage's output
-                head = f"(group={list(g)}, sort={list(s)}; "
-                p, size = sizing(source, g, s, steps)
-                if salted and len(steps) > 1 and head_grid and tail_mergeable:
-                    # fused grid-head path: one payload shuffle, downstream
-                    # chunk states measured on the resampled rows
-                    n_shuffles += 1
-                    lines.append(
-                        f"grouped shuffle #{n_shuffles}{tag} {head}grid "
-                        f"head + resampled-row chunk states; fused "
-                        f"x{len(steps)}; {size}): " + " -> ".join(names)
-                    )
-                elif salted and len(steps) > 1 and head_grid:
-                    # grid-head split (two bounded salted shuffles) — the
-                    # tail has a non-chunk-mergeable step
-                    n_shuffles += 2
-                    lines.append(
-                        f"grouped shuffle #{n_shuffles - 1}{tag} {head}"
-                        f"{size}): {names[0]} (grid slot-ownership chunks)"
-                    )
-                    lines.append(
-                        f"grouped shuffle #{n_shuffles}{tag} (re-salted "
-                        f"over resampled rows; fused x{len(steps) - 1}; "
-                        f"{sizing(pinned, g, s, steps, p)[1]}): "
-                        + " -> ".join(names[1:])
-                    )
-                else:
-                    n_shuffles += 1
-                    lines.append(
-                        f"grouped shuffle #{n_shuffles}{tag} {head}fused "
-                        f"x{len(steps)}; {size}): " + " -> ".join(names)
-                    )
-            source = None  # every stage's output is a derived dataset
+                lines.append(
+                    f"grouped shuffle #{n_shuffles + 2}{tag} (route "
+                    f"{tail.name}; re-salted over resampled rows; fused "
+                    f"x{len(steps) - 1}; {sizing(pinned, False, p)[1]}): "
+                    + " -> ".join(names[1:])
+                )
+            else:
+                # salted_grid_chain: one payload shuffle, the tail's chunk
+                # states measured on the resampled rows
+                grid = ("grid head + resampled-row chunk states; "
+                        if route.name == "salted_grid_chain" else "")
+                lines.append(f"{head}{grid}fused x{len(steps)}; {size}): "
+                             + " -> ".join(names))
+            n_shuffles += route.payload_shuffles
 
         for event, *args in self._walk(ing, refit=False, dry=True):
             if event == "stage":
                 stage(*args)
+                source = None  # every stage's output is a derived dataset
                 continue
             name = type(args[0]).__name__
             if event == "actor":

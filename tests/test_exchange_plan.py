@@ -1,20 +1,27 @@
 """Plan shape of the sort exchange: stamp sizing and reducer layout, and
 the seam itself: every stamp and shuffle of the library goes through
 kernels/grouped.py. Plan shape of the fit pins: which fits share a pin, and
-how many blocks a pin keeps."""
+how many blocks a pin keeps. Routes: the route ``explain()`` names for a
+grouped stage is the one ``prep()`` runs, decided in one place."""
 
 import ast
 import itertools
 import pathlib
+import re
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from recipys_ray import (
+    Accumulator,
     Recipe,
+    StepFunction,
+    StepHistorical,
     StepImputeFill,
+    StepLag,
     StepScale,
     StepSklearn,
     all_of,
@@ -33,6 +40,8 @@ from recipys_ray.kernels.grouped import (
     stamp_union,
     union_stamp_rows,
 )
+from recipys_ray.kernels.salted import SaltConfig
+from recipys_ray.steps.resample import StepResampling
 from recipys_ray.transformers import (
     MinMaxScaler,
     OneHotEncoder,
@@ -323,10 +332,11 @@ def test_prep_pins_as_often_as_explain_says(ray_session, monkeypatch):
 
 class _RecordedScale(StepScale):
     """StepScale that records the block count and the rows of the data its
-    fit reads."""
+    fit reads (a memory pin, or the lazy read-back of a disk pin)."""
 
     def fit(self, ing):
-        self.fit_blocks = ing.dataset.num_blocks()
+        self.fit_blocks = sum(len(b.block_refs) for b in
+                              ing.dataset.iter_internal_ref_bundles())
         self.fit_rows = ing.dataset.to_pandas()
         super().fit(ing)
 
@@ -352,9 +362,9 @@ def test_pin_is_coalesced_in_row_order(ray_session):
     np.testing.assert_array_equal(got["score"], pdf["score"])
 
 
-def _sized_fit_bake(ds):
+def _sized_fit_bake(ds, **kw):
     """fit_bake's shape with a recorded z-score fit."""
-    rec = _fit_bake_shape(ds)
+    rec = _fit_bake_shape(ds, **kw)
     rec.steps[1] = _RecordedScale(sel=all_of(["latency_s", "score"]))
     return rec
 
@@ -392,15 +402,17 @@ def test_derived_input_is_sized_at_run_time(ray_session):
 
 
 def test_disk_checkpoint_is_sized(ray_session, tmp_path, monkeypatch):
-    """The checkpoint writes at most pin_blocks files. Only the files: the
-    read-back splits them into more blocks, which this does not check."""
+    """The checkpoint writes at most pin_blocks files, and its fits read
+    them back as at most that many blocks."""
     monkeypatch.setenv("RECIPYS_CKPT_DIR", str(tmp_path))
     ds = rd.from_pandas(_transcript_pdf(), override_num_blocks=24)
-    rec = _fit_bake_shape(ds, materialize_before_fit="disk")
+    target = pin_blocks(ds.size_bytes())
+    rec = _sized_fit_bake(ds, materialize_before_fit="disk")
     assert "sizes pin #1" in rec.explain().splitlines()[0]
     rec.prep().materialize()
     files = list(tmp_path.rglob("*.parquet"))
-    assert 0 < len(files) <= pin_blocks(ds.size_bytes())
+    assert 0 < len(files) <= target
+    assert rec.steps[1].fit_blocks <= target
 
 
 def test_sized_pin_matches_pandas(ray_session):
@@ -436,3 +448,174 @@ def test_pin_within_target_is_not_repartitioned(ray_session):
         pdf["turn_idx"], unit="min")
     out = flagship_recipe(rd.from_pandas(pdf), partitions=4).prep()
     assert "Repartition" not in out.materialize().stats()
+
+
+# ---- routes: one decision for explain() and prep() ------------------------
+ROUTE_SALT = SaltConfig(threshold=100, chunk_span=20 * 60 * 10**9)  # 20 min
+
+
+def _route_pdf():
+    """Two 300-turn conversations over the salt threshold and ten small
+    ones, one turn a minute."""
+    sizes = [300, 300] + [20] * 10
+    turn = np.concatenate([np.arange(n) for n in sizes])
+    rng = np.random.default_rng(3)
+    return pd.DataFrame({
+        "conv_id": np.repeat(np.arange(len(sizes)), sizes), "turn_idx": turn,
+        "ts": pd.Timestamp("2024-01-01") + pd.to_timedelta(turn, unit="min"),
+        "n_chars": rng.integers(1, 500, len(turn)),
+        "score": rng.normal(size=len(turn)),
+    })
+
+
+def _whole_frame(pdf, group_cols):
+    return pdf
+
+
+def _route_recipe(steps, grouped=True, salt=None):
+    rec = Recipe(rd.from_pandas(_route_pdf()), predictors=["n_chars", "score"],
+                 groups=["conv_id"] if grouped else None, sequences=["ts"],
+                 partitions=4, salt=salt)
+    for step in steps:
+        rec.add_step(step)
+    return rec
+
+
+def _lag():
+    return StepLag(sel=all_of(["n_chars"]), shifts=[1])
+
+
+def _hist(fun):
+    return StepHistorical(sel=all_of(["score"]), fun=fun)
+
+
+def _agg_resample():
+    return StepResampling(
+        "5min", {all_of(["n_chars", "score"]): Accumulator.MEAN},
+        default_accumulator=Accumulator.MEAN, mode="agg")
+
+
+# (route explain() must name, steps, grouped, salted)
+ROUTE_CASES = {
+    "grouped": ("grouped", lambda: [_lag()], True, False),
+    "combined": ("combined", lambda: [_agg_resample()], True, False),
+    "serial": ("serial", lambda: [_hist(Accumulator.MEDIAN)], False, False),
+    "global_chunked": ("global_chunked", lambda: [_lag()], False, False),
+    "salted_chunked": ("salted_chunked", lambda: [_lag()], True, True),
+    "salted_carry": ("salted_carry", lambda: [_hist(Accumulator.MEDIAN)],
+                     True, True),
+    "salted_grid": ("salted_grid", lambda: [StepResampling("2min")],
+                    True, True),
+    "salted_grid_chain": ("salted_grid_chain", lambda: [
+        StepResampling("2min"), _hist(Accumulator.MEAN)], True, True),
+    "salted_grid_split": ("salted_grid_split", lambda: [
+        StepResampling("2min"), _hist(Accumulator.MEDIAN)], True, True),
+    # a SaltConfig on a chain no salted route takes runs unsalted, and
+    # explain() says so
+    "agg_resample_with_salt": ("combined", lambda: [_agg_resample()],
+                               True, True),
+    "whole_frame_function_with_salt": ("grouped", lambda: [StepFunction(
+        function=_whole_frame, grouped=True)], True, True),
+    "grid_with_whole_frame_tail_with_salt": ("grouped", lambda: [
+        StepResampling("2min"),
+        StepFunction(function=_whole_frame, grouped=True)], True, True),
+}
+
+# the entry points each route runs on the driver, in call order
+ROUTE_ENTRIES = {
+    "grouped": ["run_grouped_chain"],
+    "combined": ["pre_aggregate_batch", "run_grouped_chain"],
+    "serial": ["run_grouped_chain", "one-partition exchange"],
+    "global_chunked": ["run_grouped_chain", "run_global_chunked"],
+    "salted_chunked": ["run_salted_chain", "run_salted_chunked"],
+    "salted_carry": ["run_salted_chain", "run_salted_carry"],
+    "salted_grid": ["run_salted_chain", "run_salted_resample_grid"],
+    "salted_grid_chain": ["run_salted_chain", "run_salted_resample_chain"],
+    # the grid resample, then the MEDIAN tail re-routed to the carry
+    "salted_grid_split": ["run_salted_chain", "run_salted_chain",
+                          "run_salted_resample_grid", "run_salted_chain",
+                          "run_salted_carry"],
+}
+
+
+def _record_entries(monkeypatch) -> list:
+    """Spy on every route entry point; returns the list they append to."""
+    from ray.data import Dataset
+
+    import recipys_ray.kernels.chunked as chunked
+    import recipys_ray.kernels.grouped as grouped
+    import recipys_ray.kernels.salted as salted
+    import recipys_ray.recipe as recipe
+
+    seen = []
+
+    def spy(mod, name, tag=None):
+        orig = getattr(mod, name)
+
+        def fn(*a, **k):
+            seen.append(tag or name)
+            return orig(*a, **k)
+
+        monkeypatch.setattr(mod, name, fn)
+
+    spy(recipe, "run_grouped_chain")
+    spy(salted, "run_salted_chain")
+    spy(salted, "run_salted_carry")
+    spy(salted, "run_grouped_chain", "no hot group: unsalted")
+    for name in ("run_global_chunked", "run_salted_chunked",
+                 "run_salted_resample_grid", "run_salted_resample_chain"):
+        spy(chunked, name)
+    exchange, map_batches = grouped.exchange, Dataset.map_batches
+
+    def one_partition(stamped, part_col, fn, num_partitions, *a, **k):
+        if num_partitions == 1:
+            seen.append("one-partition exchange")
+        return exchange(stamped, part_col, fn, num_partitions, *a, **k)
+
+    def combiner(self, fn, *a, **k):
+        if getattr(fn, "__name__", None) == "pre_aggregate_batch":
+            seen.append("pre_aggregate_batch")
+        return map_batches(self, fn, *a, **k)
+
+    monkeypatch.setattr(grouped, "exchange", one_partition)
+    monkeypatch.setattr(Dataset, "map_batches", combiner)
+    return seen
+
+
+@pytest.mark.parametrize("case", list(ROUTE_CASES))
+def test_explained_route_is_the_route_prep_runs(ray_session, monkeypatch,
+                                                case):
+    route, steps, grouped, salted = ROUTE_CASES[case]
+    rec = _route_recipe(steps(), grouped, ROUTE_SALT if salted else None)
+    shuffle = rec.explain().splitlines()[0]
+    assert shuffle.startswith("grouped shuffle #1"), shuffle
+    assert re.search(r"\(route (\w+);", shuffle).group(1) == route
+    assert ("[salted]" in shuffle) == route.startswith("salted")
+    seen = _record_entries(monkeypatch)
+    assert rec.prep().materialize().count() > 0
+    monkeypatch.undo()
+    assert seen == ROUTE_ENTRIES[route]
+
+
+def _flag_reads(tree) -> list:
+    """Lines of ``tree`` that read a step flag a route depends on."""
+    flags = {"salt_grid_capable", "combinable", "chunk_mergeable"}
+    return [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in flags)
+        or (isinstance(node, ast.Constant) and node.value in flags)
+    ]
+
+
+def test_only_the_router_reads_route_flags():
+    """``kernels/salted.py::route_chain`` is the one place that decides a
+    grouped stage's route: the planner, ``explain()`` and the two chain
+    dispatchers read its answer, not the steps' flags."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "recipys_ray"
+    assert not _flag_reads(ast.parse((root / "recipe.py").read_text()))
+    for mod, fn in (("salted", "run_salted_chain"),
+                    ("grouped", "run_grouped_chain")):
+        tree = ast.parse((root / "kernels" / f"{mod}.py").read_text())
+        (body,) = [n for n in tree.body
+                   if isinstance(n, ast.FunctionDef) and n.name == fn]
+        assert not _flag_reads(body), fn
